@@ -11,11 +11,11 @@ import json
 import os
 import random
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Protocol, Sequence
-
-import requests
 
 from . import prompts
 from .model import (
@@ -299,7 +299,10 @@ class RemoteEndpointConfig:
 
 
 class RemoteChatBackend:
-    """Chat-completions-with-tools client for any compatible endpoint."""
+    """Chat-completions-with-tools client for any compatible endpoint.
+
+    Built on ``urllib.request``: it speaks HTTPS and honours the
+    ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY`` variables."""
 
     def __init__(self, config: RemoteEndpointConfig) -> None:
         self.config = config
@@ -326,17 +329,18 @@ class RemoteChatBackend:
             payload["tools"] = [descriptor_to_chat_tool(d) for d in tools]
 
         url = self.config.base_url.rstrip("/") + "/chat/completions"
+        data = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.config.retries + 1):
             try:
-                response = requests.post(
-                    url,
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=self.config.timeout_s,
+                # urlopen raises HTTPError on a 4xx/5xx status, which is retried
+                request = urllib.request.Request(
+                    url, data=data, headers=self._headers(), method="POST"
                 )
-                response.raise_for_status()
-                body = response.json()
+                with urllib.request.urlopen(
+                    request, timeout=self.config.timeout_s
+                ) as response:
+                    body = json.loads(response.read())
                 message = body["choices"][0]["message"]
                 calls = parse_tool_calls(message)
                 return AssistantTurn(
@@ -345,6 +349,8 @@ class RemoteChatBackend:
                     raw_message=dict(message),
                 )
             except Exception as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()
                 last_error = exc
                 if attempt < self.config.retries:
                     time.sleep(0.5 * 2**attempt)

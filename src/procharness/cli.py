@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .archive import load_documents
 from .config import HarnessConfig, load_config
+from .model import ModelError
 from .runner import (
     SCENARIO_A,
     SCENARIO_B,
@@ -239,7 +240,11 @@ def main(argv: list[str] | None = None) -> int:
         "classify": cmd_classify,
         "report": cmd_report,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ModelError as exc:  # a bad config, found before any run starts
+        print(f"{parser.prog} {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

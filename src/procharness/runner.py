@@ -18,10 +18,12 @@ from typing import Any, Callable, Mapping
 
 from . import prompts
 from .agent import (
+    Call,
     RemoteChatBackend,
     RunLimits,
     ScenarioPrompts,
     ScriptedBackend,
+    apply_fault,
     build_context,
     build_playbook,
     default_turn_cap,
@@ -33,6 +35,7 @@ from .config import HarnessConfig, ModelConfig
 from .metrics import GroupKey, GroupSummary, summarize, summary_csv_lines
 from .model import (
     Approach,
+    ModelError,
     MonotonicClock,
     Outcome,
     TerminatedReason,
@@ -142,13 +145,39 @@ class HarnessEnv:
         )
 
 
+def _scripted_calls(env: HarnessEnv, cell: RunCell) -> list[Call]:
+    """The fault-free call sequence a scripted model plays for the cell."""
+    if cell.scenario == SCENARIO_B:
+        intent, _ = env.stress_assets[cell.k]
+        region = intent.structured["region"]
+        return [(name, {"region": region}) for name in intent.structured["required_kpis"]]
+    request = env.config.scenario_a.request
+    if cell.approach is Approach.A4:
+        args = {"ue_id": request["ue_id"], "session_type": request["session_type"]}
+        return [(ENCAP_TOOL, args)]
+    return allocation_plan(env.fixtures, request["ue_id"], request["session_type"])
+
+
+def _check_fault_programs(env: HarnessEnv, cells: list[RunCell]) -> None:
+    """Apply every scripted model's fault program to the calls of each cell
+    it runs, so that a program that does not fit a playbook fails before
+    the first run is written. Repetitions share their calls; one suffices."""
+    distinct = {(c.approach, c.model, c.k): c for c in cells if c.model.kind == "scripted"}
+    for cell in distinct.values():
+        try:
+            apply_fault(_scripted_calls(env, cell), cell.model.fault)
+        except ValueError as exc:
+            raise ModelError(
+                f"model {cell.model.model_id!r}, approach {cell.approach.value}, "
+                f"k {cell.k}: {exc}"
+            ) from None
+
+
 def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
     """One cell repetition: assemble ground truth, drive the agent loop."""
     config = env.config
     scripted = cell.model.kind == "scripted"
     clock = VirtualClock() if scripted else MonotonicClock()
-    tool_ms = config.tool_latency_ms if scripted else 0
-    transport = env.make_transport(clock, tool_ms)
 
     if cell.scenario == SCENARIO_A:
         request = config.scenario_a.request
@@ -158,23 +187,15 @@ def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
         if cell.approach is Approach.A4:
             expected = encapsulated_expected_procedure(intent)
             expected_flattened = step_level
-            calls = [
-                (ENCAP_TOOL, {"ue_id": request["ue_id"], "session_type": request["session_type"]})
-            ]
         else:
             expected = step_level
             expected_flattened = None
-            calls = allocation_plan(
-                env.fixtures, request["ue_id"], request["session_type"]
-            )
     else:
         intent, procedure = env.stress_assets[cell.k]
         expected = procedure
         expected_flattened = None
         step_level = procedure
         scenario_prompts = env.prompts_b
-        region = intent.structured["region"]
-        calls = [(name, {"region": region}) for name in intent.structured["required_kpis"]]
 
     context = build_context(
         cell.approach,
@@ -185,6 +206,7 @@ def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
 
     if scripted:
         rng = random.Random(_stable_seed(cell.model.fault.seed, cell.run_id))
+        calls = _scripted_calls(env, cell)
         playbook = build_playbook(cell.approach, calls, cell.model.fault, rng)
         backend = ScriptedBackend(
             playbook, clock, cell.model.llm_latency_ms, cell.model.model_id
@@ -192,16 +214,20 @@ def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
     else:
         backend = RemoteChatBackend(cell.model.endpoint)
 
-    run = run_agent(
-        context,
-        intent,
-        backend,
-        transport,
-        clock,
-        RunLimits(default_turn_cap(step_level.length)),
-        session_id=cell.run_id,
-        run_id=cell.run_id,
-    )
+    transport = env.make_transport(clock, config.tool_latency_ms if scripted else 0)
+    try:
+        run = run_agent(
+            context,
+            intent,
+            backend,
+            transport,
+            clock,
+            RunLimits(default_turn_cap(step_level.length)),
+            session_id=cell.run_id,
+            run_id=cell.run_id,
+        )
+    finally:
+        transport.close()
     return RunDocument(
         run=run,
         scenario=cell.scenario,
@@ -248,12 +274,14 @@ def run_batch(
     progress: Callable[[str], None] | None = None,
 ) -> BatchStats:
     """Execute every cell, appending one document per run; cells already in
-    the archive are skipped so interrupted batches can resume."""
+    the archive are skipped so interrupted batches can resume. A fault
+    program that does not fit raises ``ModelError`` before any run."""
     env = HarnessEnv(config, server_urls)
     cells = build_cells(config, scenario)
     done = existing_run_ids(archive_path)
     stats = BatchStats(skipped=sum(1 for c in cells if c.run_id in done))
     todo = [c for c in cells if c.run_id not in done]
+    _check_fault_programs(env, todo)
     archive_path.parent.mkdir(parents=True, exist_ok=True)
 
     with ThreadPoolExecutor(max_workers=config.workers) as pool:

@@ -5,17 +5,23 @@ methods, ``tools/list`` and ``tools/call``. The run-session identifier
 travels in a request header so tool names stay clean. An in-process
 loopback transport shares the exact request-handling path with the HTTP
 server, so both behave identically.
+
+The socket path keeps connections open (HTTP/1.1 keep-alive, RFC 9112
+section 9): a client transport holds one connection per server for the
+length of a run.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import sys
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
-
-import requests
+from urllib.parse import urlsplit
 
 from .model import MonotonicClock
 from .toolsim.host import (
@@ -94,6 +100,10 @@ def handle_rpc(
 
 class _RpcRequestHandler(BaseHTTPRequestHandler):
     server_version = "procharness/0.1"
+    protocol_version = "HTTP/1.1"  # keep-alive: one connection serves a run
+    # the headers and the body go out in two sends; with Nagle's algorithm
+    # the body waits for the client's delayed ACK, about 40 ms per reply
+    disable_nagle_algorithm = True
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         host: ToolHost = self.server.tool_host  # type: ignore[attr-defined]
@@ -118,11 +128,45 @@ class _RpcRequestHandler(BaseHTTPRequestHandler):
         pass  # keep stdout clean; traces carry the interesting data
 
 
+class _HttpServer(ThreadingHTTPServer):
+    """Tracks its open connections so that closing the server ends them too;
+    a kept-alive connection would otherwise go on being served by its
+    handler thread."""
+
+    def __init__(self, address: tuple[str, int]) -> None:
+        super().__init__(address, _RpcRequestHandler)
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # a client that reset its connection, or one cut by close(), is no fault
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def close_connections(self) -> None:
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer has gone already
+
+
 class ToolServer:
     """One HTTP tool server bound to a host; runs on a daemon thread."""
 
     def __init__(self, host: ToolHost, bind_host: str = "127.0.0.1", port: int = 0):
-        self._httpd = ThreadingHTTPServer((bind_host, port), _RpcRequestHandler)
+        self._httpd = _HttpServer((bind_host, port))
         self._httpd.tool_host = host  # type: ignore[attr-defined]
         self._httpd.clock = MonotonicClock()  # type: ignore[attr-defined]
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
@@ -141,8 +185,9 @@ class ToolServer:
         return self
 
     def close(self) -> None:
-        self._httpd.shutdown()
+        self._httpd.shutdown()  # accepts no more connections
         self._httpd.server_close()
+        self._httpd.close_connections()
 
     def __enter__(self) -> "ToolServer":
         return self.start()
@@ -223,6 +268,9 @@ class _TransportBase:
     def _send(self, server_id: int, payload: dict[str, Any], session_id: str) -> dict[str, Any]:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the transport holds open; loopback holds nothing."""
+
     def list_tools(self, server_id: int) -> list[dict[str, Any]]:
         payload = {"jsonrpc": "2.0", "id": self._request_id(), "method": "tools/list"}
         response = self._send(server_id, payload, "discovery")
@@ -301,7 +349,15 @@ class LoopbackTransport(_TransportBase):
 
 
 class HttpTransport(_TransportBase):
-    """Socket transport talking to one or more running tool servers."""
+    """Socket transport talking to one or more running tool servers.
+
+    Keeps one connection per server, opened on first use and kept alive
+    until ``close``. A transport serves one run on one thread, so the
+    connections need no lock. A request is never sent twice: ``tools/call``
+    is not idempotent, so a broken connection fails the call and the next
+    request opens a new one. A server that closes after every reply
+    (HTTP/1.0) gets a new connection per request.
+    """
 
     def __init__(
         self,
@@ -313,16 +369,37 @@ class HttpTransport(_TransportBase):
         super().__init__(clock, tool_latency_ms)
         self.urls = dict(urls)
         self.timeout_s = timeout_s
+        self._connections: dict[int, tuple[http.client.HTTPConnection, str]] = {}
+
+    def _connection(self, server_id: int) -> tuple[http.client.HTTPConnection, str]:
+        if server_id not in self._connections:
+            url = self.urls.get(server_id)
+            if url is None:
+                raise RuntimeError(f"no server {server_id} configured")
+            parts = urlsplit(url)
+            conn = http.client.HTTPConnection(parts.netloc, timeout=self.timeout_s)
+            self._connections[server_id] = (conn, parts.path or "/")
+        return self._connections[server_id]
 
     def _send(self, server_id: int, payload: dict[str, Any], session_id: str) -> dict[str, Any]:
-        url = self.urls.get(server_id)
-        if url is None:
-            raise RuntimeError(f"no server {server_id} configured")
-        response = requests.post(
-            url,
-            json=payload,
-            headers={SESSION_HEADER: session_id},
-            timeout=self.timeout_s,
-        )
-        response.raise_for_status()
-        return response.json()
+        conn, path = self._connection(server_id)
+        body = json.dumps(payload).encode("utf-8")
+        headers = {"Content-Type": "application/json", SESSION_HEADER: session_id}
+        try:
+            conn.request("POST", path, body, headers)
+            response = conn.getresponse()
+            # read the whole body first so the connection stays in step
+            data = response.read()
+        except Exception:
+            conn.close()
+            raise
+        if response.status >= 400:
+            raise RuntimeError(
+                f"HTTP {response.status} {response.reason} from {self.urls[server_id]}"
+            )
+        return json.loads(data)
+
+    def close(self) -> None:
+        for conn, _ in self._connections.values():
+            conn.close()
+        self._connections.clear()

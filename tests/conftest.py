@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from http.server import ThreadingHTTPServer
+
 import pytest
 
 from procharness.model import (
@@ -64,3 +66,18 @@ def scenario_a_registry():
 def static_ip_procedure(fixtures):
     intent = make_allocation_intent("ue-001", "IPv4")
     return ground_truth_procedure(intent, fixtures)
+
+
+@pytest.fixture()
+def accepted_connections(monkeypatch):
+    """The port of the server behind every connection that a
+    ``ThreadingHTTPServer`` accepts while the test runs."""
+    accepted = []
+    finish_request = ThreadingHTTPServer.finish_request
+
+    def counting(self, request, client_address):
+        accepted.append(self.server_address[1])
+        return finish_request(self, request, client_address)
+
+    monkeypatch.setattr(ThreadingHTTPServer, "finish_request", counting)
+    return accepted

@@ -120,6 +120,32 @@ def test_scenario_b_pipeline(tmp_path, small_config):
     assert len(lines) == 3
 
 
+def test_fault_that_does_not_fit_fails_before_any_run(tmp_path, capsys):
+    # swap_steps at step 1 fits the three-call A1-A3 playbooks but not the
+    # single encapsulated call of A4
+    config = {
+        "scenario_a": {"runs_per_cell": 2},
+        "models": [{"model_id": "swap", "fault": {"kind": "swap_steps", "step": 1}}],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert _cli("run", "--scenario", "A", "--config", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert "A4" in err and "swap_steps" in err
+    assert not (out / "runs_a.jsonl").exists()
+
+
+def test_bad_config_is_one_line_usage_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"workers": 0}), encoding="utf-8")
+    assert _cli("run", "--scenario", "A", "--config", str(path), "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["procharness run: workers must be at least 1"]
+
+
 def test_classify_skips_corrupt_lines(tmp_path, small_config, capsys):
     out = tmp_path / "out"
     _cli("run", "--scenario", "A", "--config", str(small_config), "--out", str(out))

@@ -12,10 +12,16 @@ from procharness import prompts
 from procharness.agent import Approach, RemoteEndpointConfig, build_context
 from procharness.archive import load_documents
 from procharness.classify import classify
-from procharness.config import HarnessConfig, ModelConfig, ScenarioAConfig
+from procharness.config import (
+    HarnessConfig,
+    ModelConfig,
+    ScenarioAConfig,
+    ScenarioBConfig,
+)
 from procharness.model import Outcome, TerminatedReason, TraceLevel, effective_trace
 from procharness.runner import (
     SCENARIO_A,
+    SCENARIO_B,
     HarnessEnv,
     RunCell,
     classify_archive,
@@ -53,6 +59,30 @@ def test_batch_over_real_sockets(tmp_path):
     finally:
         for server in servers:
             server.close()
+
+
+def test_http_batch_matches_loopback_with_one_connection_per_run(
+    tmp_path, accepted_connections
+):
+    config = HarnessConfig(
+        workers=2, scenario_b=ScenarioBConfig(runs_per_cell=2, k_values=(5, 10))
+    )
+    loopback = tmp_path / "loopback.jsonl"
+    run_batch(config, SCENARIO_B, loopback)
+
+    env = HarnessEnv(config)
+    servers = [ToolServer(env.hosts[i]).start() for i in (1, 2, 3)]
+    try:
+        urls = {i: server.url for i, server in zip((1, 2, 3), servers)}
+        over_http = tmp_path / "http.jsonl"
+        stats = run_batch(config, SCENARIO_B, over_http, server_urls=urls)
+    finally:
+        for server in servers:
+            server.close()
+    assert stats.attempted == 4 and stats.backend_errors == 0
+    assert over_http.read_bytes() == loopback.read_bytes()
+    # scenario B uses the KPI server (id 3) only
+    assert accepted_connections == [servers[2].address[1]] * 4
 
 
 def test_repository_fetch_matches_embedded_rendering():
@@ -169,7 +199,9 @@ def _tool_call_message(name, arguments):
     }
 
 
-def test_remote_backend_retries_then_succeeds(fake_endpoint):
+def test_remote_backend_retries_then_succeeds(fake_endpoint, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("procharness.agent.time.sleep", sleeps.append)
     server, url = fake_endpoint
     server.script.extend(
         [
@@ -192,6 +224,7 @@ def test_remote_backend_retries_then_succeeds(fake_endpoint):
         doc.expected, effective_trace(run, TraceLevel.AGENT, registry), registry
     )
     assert verdict.outcome is Outcome.CORRECT
+    assert sleeps == [0.5, 1.0]  # backoff before each of the two retries
     # request schema: tools with function entries went out on the wire
     first_request = server.requests[-2]
     tool_names = [t["function"]["name"] for t in first_request["tools"]]
@@ -199,7 +232,9 @@ def test_remote_backend_retries_then_succeeds(fake_endpoint):
     assert first_request["messages"][0]["role"] == "system"
 
 
-def test_remote_backend_exhausted_retries_is_backend_error(fake_endpoint):
+def test_remote_backend_exhausted_retries_is_backend_error(fake_endpoint, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("procharness.agent.time.sleep", sleeps.append)
     server, url = fake_endpoint
     server.script.extend([(500, None)] * 3)
     endpoint = RemoteEndpointConfig(model="fake", base_url=url, retries=2, timeout_s=5.0)
@@ -208,6 +243,8 @@ def test_remote_backend_exhausted_retries_is_backend_error(fake_endpoint):
     env = HarnessEnv(config)
     doc = execute_run(env, RunCell(SCENARIO_A, Approach.A1, model, 3, 1))
     assert doc.run.terminated_reason is TerminatedReason.BACKEND_ERROR
+    assert len(server.requests) == 3
+    assert sleeps == [0.5, 1.0]  # no backoff after the last attempt
     registry = env.visible_registry(SCENARIO_A, Approach.A1)
     verdict = classify(
         doc.expected,

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from procharness.model import MonotonicClock, VirtualClock
@@ -66,8 +70,6 @@ def test_list_tools_empty_host():
 
 
 def test_list_tools_byte_stable(loopback):
-    import json
-
     first = json.dumps(loopback.list_tools(2))
     second = json.dumps(loopback.list_tools(2))
     assert first == second
@@ -215,3 +217,89 @@ def test_http_transport_failure_is_failed_call():
 
 def test_session_header_name():
     assert SESSION_HEADER == "X-Run-Session"
+
+
+def test_http_transport_keeps_one_connection_until_closed(
+    fixtures, accepted_connections
+):
+    host = build_procedure_host(fixtures, repository_text=None)
+    with ToolServer(host) as server:
+        transport = HttpTransport({2: server.url}, MonotonicClock())
+        transport.list_tools(2)
+        outcomes = [
+            transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")
+            for _ in range(3)
+        ]
+        assert [o.content["address"] for o in outcomes] == [
+            "100.64.0.1",
+            "100.64.0.2",
+            "100.64.0.3",
+        ]
+        assert len(accepted_connections) == 1
+        transport.close()
+        again = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")
+        assert again.content["address"] == "100.64.0.4"
+        assert len(accepted_connections) == 2
+        transport.close()
+
+
+def test_closed_server_stops_serving_open_connections(fixtures):
+    host = build_procedure_host(fixtures, repository_text=None)
+    server = ToolServer(host).start()
+    transport = HttpTransport({2: server.url}, MonotonicClock(), timeout_s=2.0)
+    try:
+        first = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")
+        assert first.content["address"] == "100.64.0.1"
+        server.close()
+        second = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")
+        assert not second.success
+        assert "transport failure" in second.error
+    finally:
+        transport.close()
+
+
+class _Http10Handler(BaseHTTPRequestHandler):
+    """A plain HTTP/1.0 server: it closes the connection after every reply."""
+
+    def do_POST(self):  # noqa: N802 (http.server API)
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        response = handle_rpc(
+            self.server.tool_host, payload, self.headers[SESSION_HEADER], MonotonicClock()
+        )
+        body = json.dumps(response).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_transport_reconnects_to_a_closing_http10_server(
+    fixtures, accepted_connections
+):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Http10Handler)
+    server.tool_host = build_procedure_host(fixtures, repository_text=None)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    transport = HttpTransport({2: f"http://{host}:{port}"}, MonotonicClock(), timeout_s=2.0)
+    try:
+        assert len(transport.list_tools(2)) == 5
+        outcomes = [
+            transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")
+            for _ in range(3)
+        ]
+        assert all(o.success for o in outcomes)
+        assert [o.content["address"] for o in outcomes] == [
+            "100.64.0.1",
+            "100.64.0.2",
+            "100.64.0.3",
+        ]
+        assert len(accepted_connections) == 4
+    finally:
+        transport.close()
+        server.shutdown()
+        server.server_close()

@@ -13,21 +13,19 @@ import random
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Mapping, Protocol, Sequence
 
 from . import prompts
 from .model import (
     Approach,
-    CallOrigin,
     Intent,
     ObservedTrace,
     Procedure,
     RunRecord,
     TerminatedReason,
     ToolCallRecord,
-    normalize_arguments,
 )
 from .toolsim.host import META_TOOL_NAME
 
@@ -156,30 +154,24 @@ def apply_fault(
     raise ValueError(f"unhandled fault kind {kind}")
 
 
-@dataclass(frozen=True)
-class ScriptedTurn:
-    calls: tuple[ToolCallRequest, ...] = ()
-    text: str | None = None
-
-
 def build_playbook(
     approach: Approach,
     procedure_calls: Sequence[Call],
     fault: FaultProgram = NO_FAULT,
     rng: random.Random | None = None,
     summary: str = prompts.FINAL_SUMMARY_TEXT,
-) -> list[ScriptedTurn]:
+) -> list[AssistantTurn]:
     """Fault-free playbooks emit the ground-truth sequence one call per turn
     and then a final summary turn; fault programs perturb the call list."""
     calls = apply_fault(procedure_calls, fault, rng)
     turns = []
     if approach is Approach.A2 and fault.kind is not FaultKind.NO_CALLS:
         turns.append(
-            ScriptedTurn(calls=(ToolCallRequest("call_meta", META_TOOL_NAME, {}),))
+            AssistantTurn(tool_calls=(ToolCallRequest("call_meta", META_TOOL_NAME, {}),))
         )
     for i, (name, args) in enumerate(calls, start=1):
-        turns.append(ScriptedTurn(calls=(ToolCallRequest(f"call_{i}", name, args),)))
-    turns.append(ScriptedTurn(text=summary))
+        turns.append(AssistantTurn(tool_calls=(ToolCallRequest(f"call_{i}", name, args),)))
+    turns.append(AssistantTurn(text=summary))
     return turns
 
 
@@ -192,7 +184,7 @@ class ScriptedBackend:
 
     def __init__(
         self,
-        playbook: Sequence[ScriptedTurn],
+        playbook: Sequence[AssistantTurn],
         clock: Any,
         llm_latency_ms: int = 1,
         model_id: str = "scripted",
@@ -211,18 +203,18 @@ class ScriptedBackend:
             turn = self._turns[self._cursor]
             self._cursor += 1
         else:
-            turn = ScriptedTurn(text=prompts.FINAL_SUMMARY_TEXT)
+            turn = AssistantTurn(text=prompts.FINAL_SUMMARY_TEXT)
         raw: dict[str, Any] = {"role": "assistant", "content": turn.text}
-        if turn.calls:
+        if turn.tool_calls:
             raw["tool_calls"] = [
                 {
                     "id": c.call_id,
                     "type": "function",
                     "function": {"name": c.name, "arguments": json.dumps(c.arguments)},
                 }
-                for c in turn.calls
+                for c in turn.tool_calls
             ]
-        return AssistantTurn(tool_calls=turn.calls, text=turn.text, raw_message=raw)
+        return AssistantTurn(turn.tool_calls, turn.text, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +356,10 @@ class RemoteChatBackend:
 @dataclass(frozen=True)
 class ScenarioPrompts:
     """Scenario-level prompt inputs: the canonical procedure-set rendering
-    and which servers each approach may see."""
+    and the one server each approach sees."""
 
     procedure_set_text: str
-    servers_by_approach: Mapping[Approach, tuple[int, ...]]
+    server_by_approach: Mapping[Approach, int]
 
 
 @dataclass(frozen=True)
@@ -375,7 +367,7 @@ class ApproachContext:
     approach: Approach
     system_prompt: str
     user_prompt: str
-    visible_servers: tuple[int, ...]
+    server_id: int
 
 
 def build_context(
@@ -389,8 +381,8 @@ def build_context(
     The explicit procedure is required for the prompt-supplied approach,
     where the request itself spells out the numbered step sequence.
     """
-    servers = scenario.servers_by_approach.get(approach)
-    if servers is None:
+    server_id = scenario.server_by_approach.get(approach)
+    if server_id is None:
         raise ValueError(f"approach {approach.value} not configured for this scenario")
 
     if approach is Approach.A1:
@@ -420,7 +412,7 @@ def build_context(
         approach=approach,
         system_prompt=system,
         user_prompt=user,
-        visible_servers=tuple(servers),
+        server_id=server_id,
     )
 
 
@@ -457,12 +449,7 @@ def run_agent(
     ]
 
     try:
-        descriptors: list[dict[str, Any]] = []
-        route: dict[str, int] = {}
-        for server_id in context.visible_servers:
-            for descriptor in transport.list_tools(server_id):
-                descriptors.append(descriptor)
-                route[descriptor["name"]] = server_id
+        descriptors = transport.list_tools(context.server_id)
     except Exception:
         return RunRecord(
             run_id=run_id,
@@ -477,7 +464,6 @@ def run_agent(
 
     records: list[ToolCallRecord] = []
     llm_steps: list[tuple[int, int]] = []
-    step_index = 0
     final_text = ""
     reason = TerminatedReason.TURN_CAP_HIT
 
@@ -500,42 +486,16 @@ def run_agent(
 
         for request in turn.tool_calls:
             # unknown names still go out on the wire so the attempt is traced
-            server_id = route.get(request.name, context.visible_servers[0])
-            outcome = transport.call_tool(
-                server_id, request.name, request.arguments, session_id
+            call = transport.call_tool(
+                context.server_id, request.name, request.arguments, session_id
             )
-            step_index += 1
-            records.append(
-                ToolCallRecord(
-                    step_index=step_index,
-                    tool_name=request.name,
-                    arguments=normalize_arguments(request.arguments),
-                    result=outcome.content,
-                    success=outcome.success,
-                    started_at=outcome.started_at,
-                    ended_at=outcome.ended_at,
-                    origin=CallOrigin.AGENT_ISSUED,
-                )
-            )
-            for internal in outcome.internal_calls:
-                step_index += 1
-                records.append(
-                    ToolCallRecord(
-                        step_index=step_index,
-                        tool_name=internal.name,
-                        arguments=normalize_arguments(internal.arguments),
-                        result=internal.content,
-                        success=not internal.is_error,
-                        started_at=internal.started_at,
-                        ended_at=internal.ended_at,
-                        origin=CallOrigin.TOOL_INTERNAL,
-                    )
-                )
+            offset = len(records)  # renumbered to follow the run's earlier records
+            records.extend(replace(r, step_index=offset + r.step_index) for r in call)
             messages.append(
                 {
                     "role": "tool",
                     "tool_call_id": request.call_id,
-                    "content": json.dumps(outcome.content),
+                    "content": json.dumps(call[0].result),
                 }
             )
 

@@ -3,23 +3,24 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Iterator
 
-from .model import Procedure, RunRecord, Verdict
+from .model import INLINE, Jsonable, Procedure, RunRecord, Verdict
 
 
 @dataclass(frozen=True)
-class RunDocument:
+class RunDocument(Jsonable):
     """A run plus its ground truth and (after classification) verdicts.
 
     ``expected`` is the conformance target at the agent level; for runs of
     the tool-encapsulated approach ``expected_flattened`` additionally holds
-    the step-level procedure the internal execution must match.
+    the step-level procedure the internal execution must match. On disk
+    the run's own keys sit at the top level of the document.
     """
 
-    run: RunRecord
+    run: RunRecord = field(metadata=INLINE)
     scenario: str
     k: int
     expected: Procedure
@@ -32,42 +33,6 @@ class RunDocument:
     ) -> "RunDocument":
         return replace(
             self, verdict_agent=verdict_agent, verdict_flattened=verdict_flattened
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        doc = self.run.to_dict()
-        doc["scenario"] = self.scenario
-        doc["k"] = self.k
-        doc["expected"] = self.expected.to_dict()
-        doc["expected_flattened"] = (
-            self.expected_flattened.to_dict() if self.expected_flattened else None
-        )
-        doc["verdict_agent"] = self.verdict_agent.to_dict() if self.verdict_agent else None
-        doc["verdict_flattened"] = (
-            self.verdict_flattened.to_dict() if self.verdict_flattened else None
-        )
-        return doc
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "RunDocument":
-        return cls(
-            run=RunRecord.from_dict(d),
-            scenario=d["scenario"],
-            k=int(d["k"]),
-            expected=Procedure.from_dict(d["expected"]),
-            expected_flattened=(
-                Procedure.from_dict(d["expected_flattened"])
-                if d.get("expected_flattened")
-                else None
-            ),
-            verdict_agent=(
-                Verdict.from_dict(d["verdict_agent"]) if d.get("verdict_agent") else None
-            ),
-            verdict_flattened=(
-                Verdict.from_dict(d["verdict_flattened"])
-                if d.get("verdict_flattened")
-                else None
-            ),
         )
 
 

@@ -69,21 +69,21 @@ class ScenarioAConfig:
     def __post_init__(self) -> None:
         if self.runs_per_cell < 1:
             raise ModelError("runs_per_cell must be at least 1")
+        for key in ("ue_id", "session_type"):
+            if key not in self.request:
+                raise ModelError(f"scenario_a.request needs {key!r}")
 
 
 @dataclass(frozen=True)
 class ScenarioBConfig:
+    """The stress scenario runs the prompt-embedded approach (A1) only."""
+
     runs_per_cell: int = 30
     k_values: tuple[int, ...] = STRESS_LENGTHS
-    approaches: tuple[Approach, ...] = (Approach.A1,)
 
     def __post_init__(self) -> None:
         if self.runs_per_cell < 1:
             raise ModelError("runs_per_cell must be at least 1")
-        if any(a is not Approach.A1 for a in self.approaches):
-            raise ModelError(
-                "the stress scenario only supports the prompt-embedded approach"
-            )
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,12 @@ def _scenario_a_from_dict(d: Mapping[str, Any]) -> ScenarioAConfig:
 
 
 def _scenario_b_from_dict(d: Mapping[str, Any]) -> ScenarioBConfig:
+    if d.get("approaches", ["A1"]) != ["A1"]:
+        raise ModelError("the stress scenario only supports the prompt-embedded approach")
     base = ScenarioBConfig()
     return ScenarioBConfig(
         runs_per_cell=int(d.get("runs_per_cell", base.runs_per_cell)),
         k_values=tuple(int(k) for k in d.get("k_values", base.k_values)),
-        approaches=tuple(Approach(a) for a in d.get("approaches", ["A1"])),
     )
 
 

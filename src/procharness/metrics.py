@@ -60,25 +60,6 @@ def n_tool_count(run: RunRecord) -> int:
     return sum(1 for r in run.trace.records if r.origin is CallOrigin.AGENT_ISSUED)
 
 
-@dataclass(frozen=True)
-class RunMetrics:
-    latency_cost_ms: int
-    n_llm: int
-    n_tool: int
-    reliability: int
-    verdict: Verdict
-
-
-def run_metrics(run: RunRecord, verdict: Verdict) -> RunMetrics:
-    return RunMetrics(
-        latency_cost_ms=latency_cost_ms(run),
-        n_llm=n_llm_count(run),
-        n_tool=n_tool_count(run),
-        reliability=1 if verdict.outcome is Outcome.CORRECT else 0,
-        verdict=verdict,
-    )
-
-
 @dataclass(frozen=True, order=True)
 class GroupKey:
     scenario: str

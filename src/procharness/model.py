@@ -7,11 +7,24 @@ injectable clock so simulated runs are exactly reproducible.
 
 from __future__ import annotations
 
+import functools
 import re
 import time
-from dataclasses import dataclass, field
+from collections import abc
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, Mapping
+from types import UnionType
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 TOOL_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
@@ -67,17 +80,136 @@ class ModelError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Dataclass <-> JSON codec
+
+# field metadata: leave the key out when the value is None
+OMIT_NONE = {"omit_none": True}
+# field metadata: the nested object's keys sit at the level of its parent
+INLINE = {"inline": True}
+
+_PASSTHROUGH = (Any, str, int, float, bool, type(None))
+
+
+class Jsonable:
+    """Base for dataclasses that travel as JSON objects.
+
+    ``to_dict`` and ``from_dict`` run functions generated once per class
+    from its type hints, the way ``dataclasses`` generates ``__init__``:
+    enums travel as their values, tuples as lists, nested dataclasses as
+    objects and ``X | None`` as the value or null. A key missing from the
+    input takes the field's default; for a field without one ``from_dict``
+    raises ``KeyError``.
+    """
+
+    def to_dict(self) -> dict[str, Any]:
+        return _codec(type(self))[0](self)
+
+    @classmethod
+    def from_dict(cls, d: Mapping[str, Any]) -> Any:
+        return _codec(cls)[1](d)
+
+
+def _ref(ns: dict[str, Any], value: Any) -> str:
+    """Bind ``value`` to a fresh name in the generated code's namespace."""
+    name = f"_r{len(ns)}"
+    ns[name] = value
+    return name
+
+
+def _exprs(
+    hint: Any, o: str, d: str, ns: dict[str, Any], depth: int = 0
+) -> tuple[str, str]:
+    """Python expressions that encode the value ``o`` of type ``hint`` into
+    JSON, and decode the JSON value ``d`` into that type."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint in _PASSTHROUGH:
+        return o, d
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return f"{o}.value", f"{_ref(ns, hint)}({d})"
+    if is_dataclass(hint):
+        encode, decode = _codec(hint)
+        return f"{_ref(ns, encode)}({o})", f"{_ref(ns, decode)}({d})"
+    if origin in (Union, UnionType):
+        # a union passes its scalars and None through and codes one member
+        members = [a for a in args if a not in _PASSTHROUGH]
+        if not members:
+            return o, d
+        enc, dec = _exprs(members[0], o, d, ns, depth)
+        if set(args) == {members[0], type(None)}:
+            return f"(None if {o} is None else {enc})", f"(None if {d} is None else {dec})"
+        if len(members) == 1 and is_dataclass(members[0]):
+            test = f"isinstance({o}, {_ref(ns, members[0])})"
+            return f"({enc} if {test} else {o})", f"({dec} if isinstance({d}, dict) else {d})"
+    v, k = f"v{depth}", f"k{depth}"
+    if origin is tuple and args[-1] is Ellipsis:
+        enc, dec = _exprs(args[0], v, v, ns, depth + 1)
+        return (
+            f"list({o})" if enc == v else f"[{enc} for {v} in {o}]",
+            f"tuple({d})" if dec == v else f"tuple([{dec} for {v} in {d}])",
+        )
+    if origin is tuple and all(a in _PASSTHROUGH for a in args):
+        return f"list({o})", "(" + "".join(f"{d}[{i}], " for i in range(len(args))) + ")"
+    if origin in (dict, abc.Mapping):
+        enc, dec = _exprs(args[1], v, v, ns, depth + 1)
+        return (
+            f"dict({o})" if enc == v else f"{{{k}: {enc} for {k}, {v} in {o}.items()}}",
+            f"dict({d})" if dec == v else f"{{{k}: {dec} for {k}, {v} in {d}.items()}}",
+        )
+    raise TypeError(f"no JSON codec for {hint!r}")
+
+
+@functools.cache
+def _codec(cls: type) -> tuple[Callable[[Any], dict[str, Any]], Callable[[Any], Any]]:
+    """Generate the (encode, decode) functions of a dataclass."""
+    hints = get_type_hints(cls)
+    ns: dict[str, Any] = {}
+    items: list[str] = []  # the dict display, up to the first omittable field
+    tail: list[str] = []  # statements that add the keys after it
+    args: list[str] = []
+    for f in fields(cls):
+        key = repr(f.name)
+        inline = f.metadata.get("inline", False)
+        enc, dec = _exprs(hints[f.name], f"o.{f.name}", "d" if inline else f"d[{key}]", ns)
+        if inline:
+            items.append(f"**{enc}")
+        elif f.metadata.get("omit_none"):
+            tail.append(f"    if o.{f.name} is not None: d[{key}] = {enc}")
+        elif tail:
+            tail.append(f"    d[{key}] = {enc}")
+        else:
+            items.append(f"{key}: {enc}")
+        if f.default is not MISSING:
+            dec = f"({dec} if {key} in d else {_ref(ns, f.default)})"
+        elif f.default_factory is not MISSING:
+            dec = f"({dec} if {key} in d else {_ref(ns, f.default_factory)}())"
+        args.append(dec)
+
+    source = "\n".join(
+        [
+            "def encode(o):",
+            f"    d = {{{', '.join(items)}}}",
+            *tail,
+            "    return d",
+            "def decode(d):",
+            f"    return {_ref(ns, cls)}({', '.join(args)})",
+        ]
+    )
+    exec(source, ns)
+    return ns["encode"], ns["decode"]
+
+
+# ---------------------------------------------------------------------------
 # Tool specs and registry
 
 
 @dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(Jsonable):
     """One declared parameter of a tool."""
 
     name: str
     kind: ValueKind = ValueKind.STRING
     required: bool = True
-    enum_values: tuple[str, ...] | None = None
+    enum_values: tuple[str, ...] | None = field(default=None, metadata=OMIT_NONE)
 
     def __post_init__(self) -> None:
         if self.kind is ValueKind.ENUM and not self.enum_values:
@@ -90,36 +222,15 @@ class ParamSpec:
             return isinstance(value, int) and not isinstance(value, bool)
         return isinstance(value, str) and value in (self.enum_values or ())
 
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "name": self.name,
-            "kind": self.kind.value,
-            "required": self.required,
-        }
-        if self.enum_values is not None:
-            d["enum_values"] = list(self.enum_values)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "ParamSpec":
-        enum_values = d.get("enum_values")
-        return cls(
-            name=d["name"],
-            kind=ValueKind(d.get("kind", "string")),
-            required=bool(d.get("required", True)),
-            enum_values=tuple(enum_values) if enum_values is not None else None,
-        )
-
-
 @dataclass(frozen=True)
-class ToolSpec:
+class ToolSpec(Jsonable):
     """Schema of one tool exposed by a tool server."""
 
     name: str
     description: str
     params: tuple[ParamSpec, ...] = ()
     scope: ToolScope = ToolScope.PROCEDURE
-    encapsulates: str | None = None
+    encapsulates: str | None = field(default=None, metadata=OMIT_NONE)
 
     def __post_init__(self) -> None:
         if not TOOL_NAME_RE.match(self.name):
@@ -131,38 +242,6 @@ class ToolSpec:
             raise ModelError(
                 f"encapsulated tool {self.name!r} must name the procedure it executes"
             )
-
-    @property
-    def required_params(self) -> tuple[ParamSpec, ...]:
-        return tuple(p for p in self.params if p.required)
-
-    def param(self, name: str) -> ParamSpec | None:
-        for p in self.params:
-            if p.name == name:
-                return p
-        return None
-
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "name": self.name,
-            "description": self.description,
-            "params": [p.to_dict() for p in self.params],
-            "scope": self.scope.value,
-        }
-        if self.encapsulates is not None:
-            d["encapsulates"] = self.encapsulates
-        return d
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "ToolSpec":
-        return cls(
-            name=d["name"],
-            description=d.get("description", ""),
-            params=tuple(ParamSpec.from_dict(p) for p in d.get("params", [])),
-            scope=ToolScope(d.get("scope", "procedure")),
-            encapsulates=d.get("encapsulates"),
-        )
-
 
 class ToolRegistry:
     """Immutable name -> ToolSpec mapping with exact, case-sensitive lookup."""
@@ -185,14 +264,6 @@ class ToolRegistry:
 
     def __len__(self) -> int:
         return len(self._specs)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._specs)
-
-    def merged(self, other: "ToolRegistry") -> "ToolRegistry":
-        return ToolRegistry(list(self) + list(other))
-
 
 def normalize_arguments(arguments: Mapping[str, Any]) -> dict[str, Any]:
     """Lexical normalization only: trim whitespace around string values."""
@@ -231,27 +302,14 @@ def validate_arguments(spec: ToolSpec, arguments: Mapping[str, Any]) -> list[str
 
 
 @dataclass(frozen=True)
-class AnyValue:
+class AnyValue(Jsonable):
     """Wildcard argument constraint: the parameter must be present with the
     given value kind, but any concrete value is accepted."""
 
     kind: ValueKind = ValueKind.STRING
 
-    def to_dict(self) -> dict[str, str]:
-        return {"kind": self.kind.value}
-
-
-Constraint = Any  # scalar (exact match) or AnyValue (wildcard)
-
-
-def constraint_to_jsonable(c: Constraint) -> Any:
-    return c.to_dict() if isinstance(c, AnyValue) else c
-
-
-def constraint_from_jsonable(v: Any) -> Constraint:
-    if isinstance(v, Mapping):
-        return AnyValue(kind=ValueKind(v.get("kind", "string")))
-    return v
+# an exact scalar to match, or a wildcard
+Constraint = Union[AnyValue, str, int, float, bool, None]
 
 
 def constraint_satisfied(constraint: Constraint, value: Any) -> bool:
@@ -263,7 +321,7 @@ def constraint_satisfied(constraint: Constraint, value: Any) -> bool:
 
 
 @dataclass(frozen=True)
-class ExpectedStep:
+class ExpectedStep(Jsonable):
     """One expected tool call: a tool name plus per-parameter constraints.
 
     A parameter absent from ``arg_constraints`` is ignored entirely during
@@ -280,27 +338,9 @@ class ExpectedStep:
             for name, c in self.arg_constraints.items()
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tool_name": self.tool_name,
-            "arg_constraints": {
-                k: constraint_to_jsonable(v) for k, v in self.arg_constraints.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "ExpectedStep":
-        return cls(
-            tool_name=d["tool_name"],
-            arg_constraints={
-                k: constraint_from_jsonable(v)
-                for k, v in d.get("arg_constraints", {}).items()
-            },
-        )
-
 
 @dataclass(frozen=True)
-class Procedure:
+class Procedure(Jsonable):
     """Ground-truth ordered tool-call sequence answering one intent family."""
 
     procedure_id: str
@@ -319,57 +359,28 @@ class Procedure:
     def tool_names(self) -> tuple[str, ...]:
         return tuple(s.tool_name for s in self.steps)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "procedure_id": self.procedure_id,
-            "intent_key": self.intent_key,
-            "steps": [s.to_dict() for s in self.steps],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "Procedure":
-        return cls(
-            procedure_id=d["procedure_id"],
-            intent_key=d["intent_key"],
-            steps=tuple(ExpectedStep.from_dict(s) for s in d["steps"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Intents, traces, runs
 
 
 @dataclass(frozen=True)
-class Intent:
+class Intent(Jsonable):
     """A user request, both as natural language and as structured fields."""
 
     intent_key: str
     text: str
     structured: Mapping[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "intent_key": self.intent_key,
-            "text": self.text,
-            "structured": dict(self.structured),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "Intent":
-        return cls(
-            intent_key=d["intent_key"],
-            text=d.get("text", ""),
-            structured=dict(d.get("structured", {})),
-        )
-
 
 @dataclass(frozen=True)
-class ToolCallRecord:
+class ToolCallRecord(Jsonable):
     """One executed tool call as captured in a trace.
 
     ``tool_name`` is the name as issued by the model, which may be unknown
     or hallucinated. ``origin`` distinguishes agent-issued calls from the
-    internal sub-calls an encapsulated tool reports.
+    internal sub-calls an encapsulated tool reports; until the client
+    rebases them, those count their times from the start of the parent call.
     """
 
     step_index: int
@@ -389,34 +400,9 @@ class ToolCallRecord:
     def duration_ms(self) -> int:
         return self.ended_at - self.started_at
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "step_index": self.step_index,
-            "tool_name": self.tool_name,
-            "arguments": dict(self.arguments),
-            "result": self.result,
-            "success": self.success,
-            "started_at": self.started_at,
-            "ended_at": self.ended_at,
-            "origin": self.origin.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "ToolCallRecord":
-        return cls(
-            step_index=d["step_index"],
-            tool_name=d["tool_name"],
-            arguments=dict(d.get("arguments", {})),
-            result=d.get("result"),
-            success=bool(d.get("success", False)),
-            started_at=d["started_at"],
-            ended_at=d["ended_at"],
-            origin=CallOrigin(d.get("origin", "agent_issued")),
-        )
-
 
 @dataclass(frozen=True)
-class ObservedTrace:
+class ObservedTrace(Jsonable):
     """Ordered record of the tool calls a run actually executed."""
 
     records: tuple[ToolCallRecord, ...] = ()
@@ -439,16 +425,9 @@ class ObservedTrace:
     def tool_names(self) -> tuple[str, ...]:
         return tuple(r.tool_name for r in self.records)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"records": [r.to_dict() for r in self.records]}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "ObservedTrace":
-        return cls(records=tuple(ToolCallRecord.from_dict(r) for r in d.get("records", [])))
-
 
 @dataclass(frozen=True)
-class RunRecord:
+class RunRecord(Jsonable):
     """One end-to-end agent execution of an intent."""
 
     run_id: str
@@ -467,34 +446,9 @@ class RunRecord:
         ):
             raise ModelError("a finished run needs at least one model invocation")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "run_id": self.run_id,
-            "approach": self.approach.value,
-            "model_id": self.model_id,
-            "intent": self.intent.to_dict(),
-            "trace": self.trace.to_dict(),
-            "llm_steps": [list(t) for t in self.llm_steps],
-            "final_text": self.final_text,
-            "terminated_reason": self.terminated_reason.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "RunRecord":
-        return cls(
-            run_id=d["run_id"],
-            approach=Approach(d["approach"]),
-            model_id=d["model_id"],
-            intent=Intent.from_dict(d["intent"]),
-            trace=ObservedTrace.from_dict(d["trace"]),
-            llm_steps=tuple((s[0], s[1]) for s in d.get("llm_steps", [])),
-            final_text=d.get("final_text", ""),
-            terminated_reason=TerminatedReason(d.get("terminated_reason", "model_finished")),
-        )
-
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(Jsonable):
     """Classification of one run: Correct or a single taxonomy error class."""
 
     outcome: Outcome
@@ -505,26 +459,6 @@ class Verdict:
     def __post_init__(self) -> None:
         if (self.outcome is Outcome.WRONG_TOOL) != (self.wrong_tool_subclass is not None):
             raise ModelError("wrong_tool_subclass is present iff outcome is WrongTool")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "outcome": self.outcome.value,
-            "wrong_tool_subclass": (
-                self.wrong_tool_subclass.value if self.wrong_tool_subclass else None
-            ),
-            "detail": self.detail,
-            "offending_step": self.offending_step,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "Verdict":
-        sub = d.get("wrong_tool_subclass")
-        return cls(
-            outcome=Outcome(d["outcome"]),
-            wrong_tool_subclass=WrongToolKind(sub) if sub else None,
-            detail=d.get("detail", ""),
-            offending_step=d.get("offending_step"),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from .model import AnyValue, Procedure
 
-TEMPLATE_VERSION = "prompts/v1"
-
 SYSTEM_BASE = """\
 You are a network operations agent. You complete requests by calling the
 tools exposed by the connected tool servers.

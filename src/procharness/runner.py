@@ -64,13 +64,13 @@ from .wire import HttpTransport, LoopbackTransport
 SCENARIO_A = "A"
 SCENARIO_B = "B"
 
-_A_SERVERS: Mapping[Approach, tuple[int, ...]] = {
-    Approach.A1: (PROCEDURE_SERVER_ID,),
-    Approach.A2: (PROCEDURE_SERVER_ID,),
-    Approach.A3: (PROCEDURE_SERVER_ID,),
-    Approach.A4: (ENCAPSULATED_SERVER_ID,),
+_A_SERVERS: Mapping[Approach, int] = {
+    Approach.A1: PROCEDURE_SERVER_ID,
+    Approach.A2: PROCEDURE_SERVER_ID,
+    Approach.A3: PROCEDURE_SERVER_ID,
+    Approach.A4: ENCAPSULATED_SERVER_ID,
 }
-_B_SERVERS: Mapping[Approach, tuple[int, ...]] = {Approach.A1: (KPI_SERVER_ID,)}
+_B_SERVERS: Mapping[Approach, int] = {Approach.A1: KPI_SERVER_ID}
 
 
 def _stable_seed(*parts: Any) -> int:
@@ -115,12 +115,17 @@ class HarnessEnv:
             KPI_SERVER_ID: build_kpi_host(self.pool),
         }
         self.server_urls = dict(server_urls) if server_urls else None
+        # what classify_archive checks an A4 run's internal calls against
+        self.flattened_registry = ToolRegistry(
+            list(self.hosts[ENCAPSULATED_SERVER_ID].registry)
+            + list(self.hosts[PROCEDURE_SERVER_ID].registry)
+        )
         self.prompts_a = ScenarioPrompts(
-            procedure_set_text=self.repository_text, servers_by_approach=_A_SERVERS
+            procedure_set_text=self.repository_text, server_by_approach=_A_SERVERS
         )
         self.prompts_b = ScenarioPrompts(
             procedure_set_text=prompts.KPI_PROCEDURE_SET_TEXT,
-            servers_by_approach=_B_SERVERS,
+            server_by_approach=_B_SERVERS,
         )
         self.stress_assets = {
             k: gen_stress_procedure(self.pool, k, config.seed)
@@ -133,16 +138,8 @@ class HarnessEnv:
         return LoopbackTransport(self.hosts, clock, tool_latency_ms)
 
     def visible_registry(self, scenario: str, approach: Approach) -> ToolRegistry:
-        servers = _A_SERVERS[approach] if scenario == SCENARIO_A else _B_SERVERS[approach]
-        merged = self.hosts[servers[0]].registry
-        for server_id in servers[1:]:
-            merged = merged.merged(self.hosts[server_id].registry)
-        return merged
-
-    def flattened_registry(self) -> ToolRegistry:
-        return self.hosts[ENCAPSULATED_SERVER_ID].registry.merged(
-            self.hosts[PROCEDURE_SERVER_ID].registry
-        )
+        servers = _A_SERVERS if scenario == SCENARIO_A else _B_SERVERS
+        return self.hosts[servers[approach]].registry
 
 
 def _scripted_calls(env: HarnessEnv, cell: RunCell) -> list[Call]:
@@ -249,11 +246,10 @@ def build_cells(config: HarnessConfig, scenario: str) -> list[RunCell]:
                 for rep in range(1, config.scenario_a.runs_per_cell + 1):
                     cells.append(RunCell(SCENARIO_A, approach, model, k, rep))
     elif scenario == SCENARIO_B:
-        for approach in config.scenario_b.approaches:
-            for model in config.models:
-                for k in config.scenario_b.k_values:
-                    for rep in range(1, config.scenario_b.runs_per_cell + 1):
-                        cells.append(RunCell(SCENARIO_B, approach, model, k, rep))
+        for model in config.models:
+            for k in config.scenario_b.k_values:
+                for rep in range(1, config.scenario_b.runs_per_cell + 1):
+                    cells.append(RunCell(SCENARIO_B, Approach.A1, model, k, rep))
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
     return cells
@@ -322,7 +318,7 @@ def classify_archive(
             verdict_agent = classify(doc.expected, agent_view, registry)
             verdict_flattened = None
             if doc.expected_flattened is not None:
-                flat_registry = env.flattened_registry()
+                flat_registry = env.flattened_registry
                 flat_view = effective_trace(doc.run, TraceLevel.FLATTENED, flat_registry)
                 verdict_flattened = classify(
                     doc.expected_flattened, flat_view, flat_registry

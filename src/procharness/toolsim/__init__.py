@@ -6,7 +6,6 @@ from .host import (
     META_TOOL_NAME,
     ArgumentValidationError,
     CallContext,
-    InternalCall,
     ToolHost,
     ToolNotFoundError,
     ToolResult,
@@ -25,7 +24,6 @@ from .kpi import (
     kpi_tool_specs,
     kpi_value,
     make_kpi_handlers,
-    stress_ground_truth,
 )
 from .ue import (
     AUTH_TOOL,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from ..model import (
+    ToolCallRecord,
     ToolRegistry,
     ToolScope,
     ToolSpec,
@@ -35,46 +36,14 @@ class ArgumentValidationError(Exception):
         self.problems = list(problems)
 
 
-@dataclass(frozen=True)
-class InternalCall:
-    """One sub-call executed inside an encapsulated tool, with timing
-    relative to the parent call's start (so the caller can rebase it into
-    its own clock domain)."""
-
-    name: str
-    arguments: dict[str, Any]
-    content: Any
-    is_error: bool
-    offset_ms: int
-    duration_ms: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "arguments": self.arguments,
-            "content": self.content,
-            "is_error": self.is_error,
-            "offset_ms": self.offset_ms,
-            "duration_ms": self.duration_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "InternalCall":
-        return cls(
-            name=d["name"],
-            arguments=dict(d.get("arguments", {})),
-            content=d.get("content"),
-            is_error=bool(d.get("is_error", False)),
-            offset_ms=int(d.get("offset_ms", 0)),
-            duration_ms=int(d.get("duration_ms", 0)),
-        )
-
-
 @dataclass
 class ToolResult:
+    """What a handler returns. An encapsulated tool also returns the
+    sub-calls it made, timed from the start of its own call."""
+
     content: Any
     is_error: bool = False
-    internal_calls: list[InternalCall] = field(default_factory=list)
+    internal_calls: list[ToolCallRecord] = field(default_factory=list)
 
 
 @dataclass

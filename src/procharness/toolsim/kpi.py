@@ -17,6 +17,7 @@ from typing import Any, Mapping
 from ..model import (
     ExpectedStep,
     Intent,
+    Jsonable,
     ModelError,
     ParamSpec,
     Procedure,
@@ -111,7 +112,7 @@ def _unit_rule(name: str) -> tuple[str, float, float, bool]:
 
 
 @dataclass(frozen=True)
-class KpiToolDef:
+class KpiToolDef(Jsonable):
     name: str
     description: str
     unit: str
@@ -120,20 +121,9 @@ class KpiToolDef:
     abnormal_threshold: float
     high_is_bad: bool
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "unit": self.unit,
-            "lo": self.lo,
-            "hi": self.hi,
-            "abnormal_threshold": self.abnormal_threshold,
-            "high_is_bad": self.high_is_bad,
-        }
-
 
 @dataclass(frozen=True)
-class KpiToolPool:
+class KpiToolPool(Jsonable):
     seed: int
     tools: tuple[KpiToolDef, ...]
 
@@ -155,12 +145,9 @@ class KpiToolPool:
         return None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "algorithm": VALUE_ALGORITHM,
-            "seed": self.seed,
-            "size": POOL_SIZE,
-            "tools": [t.to_dict() for t in self.tools],
-        }
+        # the algorithm and size go out with the pool so that its values
+        # can be reproduced without this code
+        return {"algorithm": VALUE_ALGORITHM, "size": POOL_SIZE, **super().to_dict()}
 
 
 def build_kpi_pool(seed: int) -> KpiToolPool:
@@ -267,16 +254,3 @@ def gen_stress_procedure(
     )
     return intent, procedure
 
-
-def stress_ground_truth(intent: Intent) -> Procedure:
-    """Rebuild the expected procedure from a stress intent's structured
-    fields (the intent fully determines it)."""
-    if intent.intent_key != KPI_INTENT_KEY:
-        raise ModelError(f"not a network-health intent: {intent.intent_key!r}")
-    region = intent.structured["region"]
-    kpis = intent.structured["required_kpis"]
-    return Procedure(
-        procedure_id=f"{KPI_INTENT_KEY}:from_intent",
-        intent_key=KPI_INTENT_KEY,
-        steps=tuple(ExpectedStep(name, {"region": region}) for name in kpis),
-    )

@@ -13,16 +13,18 @@ from typing import Any, Mapping
 
 from ..model import (
     AnyValue,
+    CallOrigin,
     ExpectedStep,
     Intent,
     ModelError,
     ParamSpec,
     Procedure,
+    ToolCallRecord,
     ToolScope,
     ToolSpec,
     ValueKind,
 )
-from .host import CallContext, InternalCall, ToolResult
+from .host import CallContext, ToolResult
 
 SESSION_TYPES = ("IPv4", "IPv6", "IPv4v6")
 
@@ -55,13 +57,6 @@ class UeFixture:
             raise ModelError(f"unknown session types {sorted(unknown)}")
         if self.static_ip is not None:
             ipaddress.ip_address(self.static_ip)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "ue_id": self.ue_id,
-            "authorized_session_types": sorted(self.authorized_session_types),
-            "static_ip": self.static_ip,
-        }
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "UeFixture":
@@ -213,21 +208,22 @@ def make_encapsulated_handler(fixtures: Mapping[str, UeFixture]):
     handlers = make_ue_handlers(fixtures)
 
     def run_procedure(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
-        internals: list[InternalCall] = []
+        internals: list[ToolCallRecord] = []
         parent_start = ctx.clock.now_ms()
 
         def call(name: str, call_args: dict[str, Any]) -> ToolResult:
-            started = ctx.clock.now_ms()
+            started = ctx.clock.now_ms() - parent_start
             result = handlers[name](call_args, ctx)
-            ended = ctx.clock.now_ms()
             internals.append(
-                InternalCall(
-                    name=name,
-                    arguments=dict(call_args),
-                    content=result.content,
-                    is_error=result.is_error,
-                    offset_ms=started - parent_start,
-                    duration_ms=ended - started,
+                ToolCallRecord(
+                    step_index=0,  # the wire drops it; the client numbers the calls
+                    tool_name=name,
+                    arguments=call_args,
+                    result=result.content,
+                    success=not result.is_error,
+                    started_at=started,
+                    ended_at=ctx.clock.now_ms() - parent_start,
+                    origin=CallOrigin.TOOL_INTERNAL,
                 )
             )
             return result

@@ -18,21 +18,17 @@ import json
 import socket
 import sys
 import threading
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 from urllib.parse import urlsplit
 
-from .model import MonotonicClock
-from .toolsim.host import (
-    ArgumentValidationError,
-    InternalCall,
-    ToolHost,
-    ToolNotFoundError,
-)
+from .model import CallOrigin, MonotonicClock, ToolCallRecord, normalize_arguments
+from .toolsim.host import ArgumentValidationError, ToolHost, ToolNotFoundError
 
 SESSION_HEADER = "X-Run-Session"
 DEFAULT_TIMEOUT_S = 10.0
+# how often a server's accept loop checks for shutdown; close() waits up to this
+SERVE_POLL_S = 0.05
 
 ERR_PARSE = -32700
 ERR_INVALID_REQUEST = -32600
@@ -51,6 +47,38 @@ def _error(req_id: Any, code: int, message: str, data: Any = None) -> dict[str, 
 
 def _result(req_id: Any, result: Any) -> dict[str, Any]:
     return {"jsonrpc": "2.0", "id": req_id, "result": result}
+
+
+def _internal_to_wire(call: ToolCallRecord) -> dict[str, Any]:
+    """A sub-call of an encapsulated tool as it travels in ``internal_calls``;
+    its times count from the start of the parent call."""
+    return {
+        "name": call.tool_name,
+        "arguments": call.arguments,
+        "content": call.result,
+        "is_error": not call.success,
+        "offset_ms": call.started_at,
+        "duration_ms": call.duration_ms,
+    }
+
+
+def _internal_from_wire(
+    item: Mapping[str, Any], step_index: int, started_at: int, ended_at: int
+) -> ToolCallRecord:
+    """The inverse of ``_internal_to_wire``, rebased onto the parent call's
+    interval in the caller's clock and clamped to it."""
+    start = min(started_at + max(int(item.get("offset_ms", 0)), 0), ended_at)
+    end = min(start + max(int(item.get("duration_ms", 0)), 0), ended_at)
+    return ToolCallRecord(
+        step_index=step_index,
+        tool_name=item["name"],
+        arguments=normalize_arguments(item.get("arguments", {})),
+        result=item.get("content"),
+        success=not item.get("is_error", False),
+        started_at=start,
+        ended_at=end,
+        origin=CallOrigin.TOOL_INTERNAL,
+    )
 
 
 def handle_rpc(
@@ -88,7 +116,7 @@ def handle_rpc(
             "is_error": outcome.is_error,
         }
         if outcome.internal_calls:
-            result["internal_calls"] = [c.to_dict() for c in outcome.internal_calls]
+            result["internal_calls"] = [_internal_to_wire(c) for c in outcome.internal_calls]
         return _result(req_id, result)
 
     return _error(req_id, ERR_METHOD_NOT_FOUND, f"unknown method: {method}")
@@ -169,7 +197,9 @@ class ToolServer:
         self._httpd = _HttpServer((bind_host, port))
         self._httpd.tool_host = host  # type: ignore[attr-defined]
         self._httpd.clock = MonotonicClock()  # type: ignore[attr-defined]
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(SERVE_POLL_S,), daemon=True
+        )
 
     @property
     def address(self) -> tuple[str, int]:
@@ -198,52 +228,6 @@ class ToolServer:
 
 # ---------------------------------------------------------------------------
 # Client
-
-
-@dataclass(frozen=True)
-class WireCallOutcome:
-    """Client-side view of one tool call, with latency captured around the
-    request and any internal sub-calls rebased into the caller's clock."""
-
-    tool_name: str
-    arguments: dict[str, Any]
-    content: Any
-    success: bool
-    started_at: int
-    ended_at: int
-    internal_calls: tuple["RebasedInternalCall", ...] = ()
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class RebasedInternalCall:
-    name: str
-    arguments: dict[str, Any]
-    content: Any
-    is_error: bool
-    started_at: int
-    ended_at: int
-
-
-def _rebase_internals(
-    raw: list[dict[str, Any]], started_at: int, ended_at: int
-) -> tuple[RebasedInternalCall, ...]:
-    out = []
-    for item in raw:
-        call = InternalCall.from_dict(item)
-        start = min(started_at + max(call.offset_ms, 0), ended_at)
-        end = min(start + max(call.duration_ms, 0), ended_at)
-        out.append(
-            RebasedInternalCall(
-                name=call.name,
-                arguments=call.arguments,
-                content=call.content,
-                is_error=call.is_error,
-                started_at=start,
-                ended_at=end,
-            )
-        )
-    return tuple(out)
 
 
 class _TransportBase:
@@ -280,7 +264,11 @@ class _TransportBase:
 
     def call_tool(
         self, server_id: int, name: str, arguments: Mapping[str, Any], session_id: str
-    ) -> WireCallOutcome:
+    ) -> tuple[ToolCallRecord, ...]:
+        """The records of one call, numbered from 1: the call itself, then
+        the sub-calls an encapsulated tool reports. A call that fails, on
+        the wire or at the server, is a failed record whose result is
+        ``{"error": message}``."""
         payload = {
             "jsonrpc": "2.0",
             "id": self._request_id(),
@@ -291,42 +279,29 @@ class _TransportBase:
         try:
             response = self._send(server_id, payload, session_id)
         except Exception as exc:
-            self.clock.advance(self.tool_latency_ms)
-            ended = self.clock.now_ms()
-            return WireCallOutcome(
-                tool_name=name,
-                arguments=dict(arguments),
-                content={"error": f"transport failure: {exc}"},
-                success=False,
-                started_at=started,
-                ended_at=ended,
-                error=f"transport failure: {exc}",
-            )
+            response = {"error": {"message": f"transport failure: {exc}"}}
         self.clock.advance(self.tool_latency_ms)
         ended = self.clock.now_ms()
 
         if "error" in response:
-            err = response["error"]
-            return WireCallOutcome(
-                tool_name=name,
-                arguments=dict(arguments),
-                content={"error": err.get("message", "tool call failed")},
-                success=False,
-                started_at=started,
-                ended_at=ended,
-                error=err.get("message", "tool call failed"),
-            )
-        result = response["result"]
-        return WireCallOutcome(
+            message = response["error"].get("message", "tool call failed")
+            content, success, internals = {"error": message}, False, ()
+        else:
+            result = response["result"]
+            content, success = result.get("content"), not result.get("is_error", False)
+            internals = result.get("internal_calls", ())
+        call = ToolCallRecord(
+            step_index=1,
             tool_name=name,
-            arguments=dict(arguments),
-            content=result.get("content"),
-            success=not result.get("is_error", False),
+            arguments=normalize_arguments(arguments),
+            result=content,
+            success=success,
             started_at=started,
             ended_at=ended,
-            internal_calls=_rebase_internals(
-                result.get("internal_calls", []), started, ended
-            ),
+        )
+        return (call,) + tuple(
+            _internal_from_wire(item, i, started, ended)
+            for i, item in enumerate(internals, start=2)
         )
 
 

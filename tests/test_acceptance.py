@@ -175,7 +175,7 @@ def test_criterion_3_ground_truth_branch_coverage(fixtures):
                 {"ue_id": ue_id, "session_type": session_type},
                 CallContext(session=UeSessionState(), clock=VirtualClock()),
             )
-            assert tuple(c.name for c in result.internal_calls) == procedure.tool_names
+            assert tuple(c.tool_name for c in result.internal_calls) == procedure.tool_names
         elapsed = time.monotonic() - started
         assert elapsed < 1.0, f"branch sweep took {elapsed:.2f}s"
 
@@ -230,7 +230,7 @@ def test_criterion_5_latency_additivity(contract_batch):
         # encapsulated internals are inside the parent envelope, never added
         a4 = docs[Approach.A4][0].run
         assert latency_cost_ms(a4) == 3  # 2 reasoning turns + 1 issued call
-        flattened = effective_trace(a4, TraceLevel.FLATTENED, env.flattened_registry())
+        flattened = effective_trace(a4, TraceLevel.FLATTENED, env.flattened_registry)
         assert flattened.length == 3
 
 
@@ -397,14 +397,14 @@ def test_criterion_8_wire_round_trip():
             for tool, cases in arg_sets.items():
                 for i, args in enumerate(cases):
                     want = direct[(tool, i)]
-                    got_loop = loopback.call_tool(2, tool, args, f"loop-{tool}-{i}")
-                    got_http = http.call_tool(2, tool, args, f"http-{tool}-{i}")
-                    assert got_loop.content == want.content, (tool, args)
-                    assert got_http.content == want.content, (tool, args)
+                    (got_loop,) = loopback.call_tool(2, tool, args, f"loop-{tool}-{i}")
+                    (got_http,) = http.call_tool(2, tool, args, f"http-{tool}-{i}")
+                    assert got_loop.result == want.content, (tool, args)
+                    assert got_http.result == want.content, (tool, args)
                     assert got_loop.success == got_http.success == (not want.is_error)
 
             for transport in (loopback, http):
-                missing = transport.call_tool(2, "no_such_tool", {}, "x")
+                (missing,) = transport.call_tool(2, "no_such_tool", {}, "x")
                 assert not missing.success
                 assert missing.tool_name == "no_such_tool"
                 assert missing.started_at <= missing.ended_at

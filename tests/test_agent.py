@@ -172,9 +172,9 @@ def test_apply_fault_bounds_checked():
 def test_playbook_shapes():
     plain = build_playbook(Approach.A1, CALLS)
     assert len(plain) == 4  # one call per turn plus the summary turn
-    assert plain[-1].text and not plain[-1].calls
+    assert plain[-1].text and not plain[-1].tool_calls
     with_meta = build_playbook(Approach.A2, CALLS)
-    assert with_meta[0].calls[0].name == "get_procedures"
+    assert with_meta[0].tool_calls[0].name == "get_procedures"
     assert len(with_meta) == 5
 
 
@@ -193,11 +193,11 @@ def scenario_prompts():
 
     return ScenarioPrompts(
         procedure_set_text=prompts.UE_PROCEDURE_SET_TEXT,
-        servers_by_approach={
-            Approach.A1: (2,),
-            Approach.A2: (2,),
-            Approach.A3: (2,),
-            Approach.A4: (1,),
+        server_by_approach={
+            Approach.A1: 2,
+            Approach.A2: 2,
+            Approach.A3: 2,
+            Approach.A4: 1,
         },
     )
 
@@ -219,7 +219,7 @@ def test_context_embedded_procedures(scenario_prompts, intent):
         assert tool in ctx.system_prompt
     assert "ue-001" in ctx.user_prompt and "IPv4" in ctx.user_prompt
     assert "ue-001" not in ctx.system_prompt
-    assert ctx.visible_servers == (2,)
+    assert ctx.server_id == 2
 
 
 def test_context_retrieval_instructs_meta_call(scenario_prompts, intent):
@@ -242,7 +242,7 @@ def test_context_encapsulated_has_no_procedure_text(scenario_prompts, intent):
     ctx = build_context(Approach.A4, intent, scenario_prompts)
     assert "static_ip_retrieval" not in ctx.system_prompt
     assert "static_ip_retrieval" not in ctx.user_prompt
-    assert ctx.visible_servers == (1,)
+    assert ctx.server_id == 1
 
 
 def test_context_requires_explicit_procedure_for_a3(scenario_prompts, intent):
@@ -251,7 +251,7 @@ def test_context_requires_explicit_procedure_for_a3(scenario_prompts, intent):
 
 
 def test_context_unknown_approach_for_scenario(intent):
-    prompts_b = ScenarioPrompts("text", {Approach.A1: (3,)})
+    prompts_b = ScenarioPrompts("text", {Approach.A1: 3})
     with pytest.raises(ValueError):
         build_context(Approach.A4, intent, prompts_b)
 
@@ -410,15 +410,3 @@ def test_tool_calls_fall_between_reasoning_turns():
         # every issued call begins after some reasoning turn has begun
         assert any(start <= rec.started_at for start in llm_starts)
     assert run.trace.records[0].started_at >= run.llm_steps[0][1]
-
-
-def test_stress_ground_truth_rebuilds_from_intent():
-    from procharness.toolsim import build_kpi_pool, gen_stress_procedure, stress_ground_truth
-
-    pool = build_kpi_pool(42)
-    intent, procedure = gen_stress_procedure(pool, 10, 42)
-    rebuilt = stress_ground_truth(intent)
-    assert rebuilt.tool_names == procedure.tool_names
-    assert [s.arg_constraints for s in rebuilt.steps] == [
-        s.arg_constraints for s in procedure.steps
-    ]

@@ -7,7 +7,7 @@ import pytest
 
 from procharness.archive import load_documents
 from procharness.cli import main
-from procharness.config import load_config
+from procharness.config import config_from_dict, load_config
 from procharness.metrics import CSV_HEADER
 from procharness.model import Approach, ModelError, Outcome
 
@@ -51,10 +51,9 @@ def test_config_override_file(small_config):
 
 
 def test_config_rejects_non_a1_stress():
-    with pytest.raises(ModelError):
-        from procharness.config import ScenarioBConfig
-
-        ScenarioBConfig(approaches=(Approach.A4,))
+    for approaches in (["A4"], []):
+        with pytest.raises(ModelError):
+            config_from_dict({"scenario_b": {"approaches": approaches}})
 
 
 def test_gen_writes_deterministic_assets(tmp_path, small_config):
@@ -138,12 +137,23 @@ def test_fault_that_does_not_fit_fails_before_any_run(tmp_path, capsys):
     assert not (out / "runs_a.jsonl").exists()
 
 
-def test_bad_config_is_one_line_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    ("config", "message"),
+    [
+        pytest.param({"workers": 0}, "workers must be at least 1", id="workers-0"),
+        pytest.param(
+            {"scenario_a": {"request": {"ue_id": "ue-001"}}},
+            "scenario_a.request needs 'session_type'",
+            id="request-without-session-type",
+        ),
+    ],
+)
+def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, message):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"workers": 0}), encoding="utf-8")
+    path.write_text(json.dumps(config), encoding="utf-8")
     assert _cli("run", "--scenario", "A", "--config", str(path), "--out", str(tmp_path)) == 1
     err = capsys.readouterr().err
-    assert err.splitlines() == ["procharness run: workers must be at least 1"]
+    assert err.splitlines() == [f"procharness run: {message}"]
 
 
 def test_classify_skips_corrupt_lines(tmp_path, small_config, capsys):

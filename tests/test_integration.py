@@ -91,12 +91,12 @@ def test_repository_fetch_matches_embedded_rendering():
     from procharness.wire import LoopbackTransport
 
     transport = LoopbackTransport(env.hosts, VirtualClock())
-    fetched = transport.call_tool(2, META_TOOL_NAME, {}, "s").content
+    fetched = transport.call_tool(2, META_TOOL_NAME, {}, "s")[0].result
     intent = make_allocation_intent("ue-001", "IPv4")
     ctx = build_context(Approach.A1, intent, env.prompts_a)
     assert fetched == prompts.UE_PROCEDURE_SET_TEXT
     assert fetched in ctx.system_prompt
-    again = transport.call_tool(2, META_TOOL_NAME, {}, "s").content
+    again = transport.call_tool(2, META_TOOL_NAME, {}, "s")[0].result
     assert again == fetched
 
 
@@ -112,7 +112,7 @@ def test_empty_repository_config_degrades_gracefully():
     from procharness.wire import LoopbackTransport
 
     transport = LoopbackTransport(env.hosts, VirtualClock())
-    assert transport.call_tool(2, META_TOOL_NAME, {}, "s").content == ""
+    assert transport.call_tool(2, META_TOOL_NAME, {}, "s")[0].result == ""
 
 
 def test_classify_and_report_are_pure_stages(tmp_path):

@@ -6,7 +6,6 @@ from procharness.metrics import (
     latency_cost_ms,
     n_llm_count,
     n_tool_count,
-    run_metrics,
     summarize,
     summary_csv_lines,
 )
@@ -75,12 +74,6 @@ def test_llm_and_tool_counts():
     run = _run([(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 3)], [(2, 3)])
     assert n_llm_count(run) == 2
     assert n_tool_count(run) == 3  # internals are not separate invocations
-
-
-def test_run_metrics_reliability_follows_verdict():
-    run = _run([(0, 1)], [])
-    assert run_metrics(run, Verdict(Outcome.CORRECT)).reliability == 1
-    assert run_metrics(run, Verdict(Outcome.PREMATURE_STOP)).reliability == 0
 
 
 def _row(key, latency, outcome):

@@ -192,7 +192,7 @@ def test_encapsulated_internals_match_ground_truth_everywhere(fixtures):
         intent = make_allocation_intent(ue_id, session_type)
         expected = ground_truth_procedure(intent, fixtures)
         result = handler({"ue_id": ue_id, "session_type": session_type}, _ctx())
-        internal_names = tuple(c.name for c in result.internal_calls)
+        internal_names = tuple(c.tool_name for c in result.internal_calls)
         assert internal_names == expected.tool_names, (ue_id, session_type)
         # internal arguments satisfy the expected constraints step by step
         for step, call in zip(expected.steps, result.internal_calls):

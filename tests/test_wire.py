@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from procharness.model import MonotonicClock, VirtualClock
+from procharness.model import CallOrigin, MonotonicClock, VirtualClock
 from procharness.toolsim import (
     AUTH_TOOL,
     ENCAP_TOOL,
@@ -85,49 +86,50 @@ def test_descriptors_carry_complete_schemas(loopback):
 
 
 def test_call_tool_success_and_timing(loopback):
-    outcome = loopback.call_tool(
+    (call,) = loopback.call_tool(
         2, AUTH_TOOL, {"ue_id": "ue-001", "session_type": "IPv4"}, "s1"
     )
-    assert outcome.success
-    assert outcome.content["status"] == "authorized"
-    assert outcome.ended_at - outcome.started_at == 1  # injected latency
+    assert call.success
+    assert call.result["status"] == "authorized"
+    assert call.ended_at - call.started_at == 1  # injected latency
 
 
 def test_call_tool_unknown_name_is_failed_call(loopback):
-    outcome = loopback.call_tool(2, "foo", {}, "s1")
-    assert not outcome.success
-    assert outcome.tool_name == "foo"
-    assert "unknown tool" in outcome.error
+    (call,) = loopback.call_tool(2, "foo", {}, "s1")
+    assert not call.success
+    assert call.tool_name == "foo"
+    assert "unknown tool" in call.result["error"]
 
 
 def test_call_tool_validation_error(loopback):
-    outcome = loopback.call_tool(2, AUTH_TOOL, {"ue_id": "ue-001"}, "s1")
-    assert not outcome.success
-    assert "session_type" in outcome.error
+    (call,) = loopback.call_tool(2, AUTH_TOOL, {"ue_id": "ue-001"}, "s1")
+    assert not call.success
+    assert "session_type" in call.result["error"]
 
 
 def test_encapsulated_call_returns_internal_records(loopback):
-    outcome = loopback.call_tool(
+    call, *internal_calls = loopback.call_tool(
         1, ENCAP_TOOL, {"ue_id": "ue-001", "session_type": "IPv4"}, "s1"
     )
-    assert outcome.success
-    assert [c.name for c in outcome.internal_calls] == [
+    assert call.success
+    assert [c.tool_name for c in internal_calls] == [
         "ue_authorization",
         "static_ip_retrieval",
         "ip_assignment",
     ]
-    for internal in outcome.internal_calls:
-        assert outcome.started_at <= internal.started_at
-        assert internal.ended_at <= outcome.ended_at
+    for internal in internal_calls:
+        assert internal.origin is CallOrigin.TOOL_INTERNAL
+        assert call.started_at <= internal.started_at
+        assert internal.ended_at <= call.ended_at
 
 
 def test_sessions_do_not_share_state(loopback):
-    first = loopback.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "run-1")
-    second = loopback.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "run-2")
-    third = loopback.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "run-1")
-    assert first.content["address"] == "100.64.0.1"
-    assert second.content["address"] == "100.64.0.1"
-    assert third.content["address"] == "100.64.0.2"
+    (first,) = loopback.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "run-1")
+    (second,) = loopback.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "run-2")
+    (third,) = loopback.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "run-1")
+    assert first.result["address"] == "100.64.0.1"
+    assert second.result["address"] == "100.64.0.1"
+    assert third.result["address"] == "100.64.0.2"
 
 
 def test_handle_rpc_error_codes(procedure_host):
@@ -179,8 +181,8 @@ def test_wire_field_names(procedure_host):
 
 
 def test_meta_tool_round_trip(loopback):
-    outcome = loopback.call_tool(2, META_TOOL_NAME, {}, "s1")
-    assert outcome.success and outcome.content == "procedures here"
+    (call,) = loopback.call_tool(2, META_TOOL_NAME, {}, "s1")
+    assert call.success and call.result == "procedures here"
 
 
 def test_http_server_round_trip(fixtures):
@@ -189,11 +191,11 @@ def test_http_server_round_trip(fixtures):
         transport = HttpTransport({2: server.url}, MonotonicClock())
         names = [d["name"] for d in transport.list_tools(2)]
         assert AUTH_TOOL in names
-        outcome = transport.call_tool(
+        (call,) = transport.call_tool(
             2, AUTH_TOOL, {"ue_id": "ue-001", "session_type": "IPv4"}, "run-http"
         )
-        assert outcome.success and outcome.content["status"] == "authorized"
-        missing = transport.call_tool(2, "foo", {}, "run-http")
+        assert call.success and call.result["status"] == "authorized"
+        (missing,) = transport.call_tool(2, "foo", {}, "run-http")
         assert not missing.success
 
 
@@ -201,18 +203,26 @@ def test_http_session_isolation_via_header(fixtures):
     host = build_procedure_host(fixtures, repository_text=None)
     with ToolServer(host) as server:
         transport = HttpTransport({2: server.url}, MonotonicClock())
-        a1 = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s-a")
-        b1 = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s-b")
-        a2 = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s-a")
-        assert a1.content["address"] == b1.content["address"] == "100.64.0.1"
-        assert a2.content["address"] == "100.64.0.2"
+        (a1,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s-a")
+        (b1,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s-b")
+        (a2,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s-a")
+        assert a1.result["address"] == b1.result["address"] == "100.64.0.1"
+        assert a2.result["address"] == "100.64.0.2"
 
 
 def test_http_transport_failure_is_failed_call():
     transport = HttpTransport({2: "http://127.0.0.1:1"}, MonotonicClock(), timeout_s=0.5)
-    outcome = transport.call_tool(2, AUTH_TOOL, {}, "s")
-    assert not outcome.success
-    assert "transport failure" in outcome.error
+    (call,) = transport.call_tool(2, AUTH_TOOL, {}, "s")
+    assert not call.success
+    assert "transport failure" in call.result["error"]
+
+
+def test_closing_an_idle_server_is_quick(fixtures):
+    server = ToolServer(build_procedure_host(fixtures, repository_text=None)).start()
+    time.sleep(0.1)  # let the accept loop settle into its wait
+    started = time.perf_counter()
+    server.close()
+    assert time.perf_counter() - started < 0.25
 
 
 def test_session_header_name():
@@ -226,19 +236,19 @@ def test_http_transport_keeps_one_connection_until_closed(
     with ToolServer(host) as server:
         transport = HttpTransport({2: server.url}, MonotonicClock())
         transport.list_tools(2)
-        outcomes = [
-            transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")
+        calls = [
+            transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")[0]
             for _ in range(3)
         ]
-        assert [o.content["address"] for o in outcomes] == [
+        assert [c.result["address"] for c in calls] == [
             "100.64.0.1",
             "100.64.0.2",
             "100.64.0.3",
         ]
         assert len(accepted_connections) == 1
         transport.close()
-        again = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")
-        assert again.content["address"] == "100.64.0.4"
+        (again,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")
+        assert again.result["address"] == "100.64.0.4"
         assert len(accepted_connections) == 2
         transport.close()
 
@@ -248,12 +258,12 @@ def test_closed_server_stops_serving_open_connections(fixtures):
     server = ToolServer(host).start()
     transport = HttpTransport({2: server.url}, MonotonicClock(), timeout_s=2.0)
     try:
-        first = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")
-        assert first.content["address"] == "100.64.0.1"
+        (first,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")
+        assert first.result["address"] == "100.64.0.1"
         server.close()
-        second = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")
+        (second,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")
         assert not second.success
-        assert "transport failure" in second.error
+        assert "transport failure" in second.result["error"]
     finally:
         transport.close()
 
@@ -288,12 +298,12 @@ def test_http_transport_reconnects_to_a_closing_http10_server(
     transport = HttpTransport({2: f"http://{host}:{port}"}, MonotonicClock(), timeout_s=2.0)
     try:
         assert len(transport.list_tools(2)) == 5
-        outcomes = [
-            transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")
+        calls = [
+            transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")[0]
             for _ in range(3)
         ]
-        assert all(o.success for o in outcomes)
-        assert [o.content["address"] for o in outcomes] == [
+        assert all(c.success for c in calls)
+        assert [c.result["address"] for c in calls] == [
             "100.64.0.1",
             "100.64.0.2",
             "100.64.0.3",

@@ -4,9 +4,14 @@ against a fake endpoint, stage purity, and worker-pool determinism."""
 from __future__ import annotations
 
 import json
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procharness import prompts
 from procharness.agent import Approach, RemoteEndpointConfig, build_context
@@ -132,6 +137,27 @@ def test_classify_and_report_are_pure_stages(tmp_path):
     write_reports(docs, csv2, md2)
     assert csv1.read_bytes() == csv2.read_bytes()
     assert md1.read_bytes() == md2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_archive(tmp_path_factory):
+    path = tmp_path_factory.mktemp("uninterrupted") / "runs_a.jsonl"
+    run_batch(_small_config(), SCENARIO_A, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_resume_after_a_torn_write_gives_the_uninterrupted_archive(
+    uninterrupted_archive, data
+):
+    # a crash can cut the archive at any byte, mid-record included
+    cut = data.draw(st.integers(0, len(uninterrupted_archive)), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = Path(tmp) / "runs_a.jsonl"
+        archive.write_bytes(uninterrupted_archive[:cut])
+        run_batch(_small_config(), SCENARIO_A, archive)
+        assert archive.read_bytes() == uninterrupted_archive
 
 
 def test_worker_pool_preserves_results(tmp_path):

@@ -13,7 +13,7 @@ import random
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Protocol, Sequence
 
@@ -354,15 +354,6 @@ class RemoteChatBackend:
 
 
 @dataclass(frozen=True)
-class ScenarioPrompts:
-    """Scenario-level prompt inputs: the canonical procedure-set rendering
-    and the one server each approach sees."""
-
-    procedure_set_text: str
-    server_by_approach: Mapping[Approach, int]
-
-
-@dataclass(frozen=True)
 class ApproachContext:
     approach: Approach
     system_prompt: str
@@ -373,24 +364,23 @@ class ApproachContext:
 def build_context(
     approach: Approach,
     intent: Intent,
-    scenario: ScenarioPrompts,
+    procedure_set_text: str,
+    server_id: int,
     explicit_procedure: Procedure | None = None,
 ) -> ApproachContext:
-    """Deterministic prompt assembly from the canonical templates.
+    """Deterministic prompt assembly from the canonical templates, for an
+    agent that sees the one server ``server_id``.
 
-    The explicit procedure is required for the prompt-supplied approach,
-    where the request itself spells out the numbered step sequence.
+    The procedure-set text is what the embedded approach puts in its system
+    prompt. The explicit procedure is required for the prompt-supplied
+    approach, where the request itself spells out the numbered step sequence.
     """
-    server_id = scenario.server_by_approach.get(approach)
-    if server_id is None:
-        raise ValueError(f"approach {approach.value} not configured for this scenario")
-
     if approach is Approach.A1:
         system = prompts.SYSTEM_BASE
-        if scenario.procedure_set_text:
+        if procedure_set_text:
             system = (
                 f"{prompts.SYSTEM_BASE}\n\nOperating procedures:\n"
-                f"{scenario.procedure_set_text}"
+                f"{procedure_set_text}"
             )
         user = intent.text
     elif approach is Approach.A2:
@@ -489,8 +479,7 @@ def run_agent(
             call = transport.call_tool(
                 context.server_id, request.name, request.arguments, session_id
             )
-            offset = len(records)  # renumbered to follow the run's earlier records
-            records.extend(replace(r, step_index=offset + r.step_index) for r in call)
+            records.extend(call)
             messages.append(
                 {
                     "role": "tool",

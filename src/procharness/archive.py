@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -39,6 +40,17 @@ class RunDocument(Jsonable):
 def append_document(path: Path, doc: RunDocument) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(doc.to_dict(), sort_keys=True) + "\n")
+
+
+def drop_torn_tail(path: Path) -> None:
+    """Cut a last line that lacks its newline, as a crash in mid-write
+    leaves it, so that the next append starts a line of its own. The run
+    that line held is then missing and gets redone."""
+    if path.exists():
+        data = path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            os.truncate(path, end)
 
 
 def iter_lines(path: Path) -> Iterator[tuple[int, str]]:

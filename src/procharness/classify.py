@@ -7,8 +7,6 @@ unlimited concurrent invocation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from enum import Enum
 
 from .model import (
     ExpectedStep,
@@ -21,30 +19,6 @@ from .model import (
     WrongToolKind,
     validate_arguments,
 )
-
-
-class ValidityKind(str, Enum):
-    OK = "ok"
-    UNKNOWN_NAME = "unknown_name"
-    OUTSIDE_PROCEDURE = "outside_procedure"
-    BAD_PARAMS = "bad_params"
-
-
-@dataclass(frozen=True)
-class CallValidity:
-    kind: ValidityKind
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.kind is ValidityKind.OK
-
-
-_SUBCLASS_FOR_VALIDITY = {
-    ValidityKind.UNKNOWN_NAME: WrongToolKind.WRONG_TOOL_NAME,
-    ValidityKind.OUTSIDE_PROCEDURE: WrongToolKind.TOOL_OUTSIDE_PROCEDURE,
-    ValidityKind.BAD_PARAMS: WrongToolKind.WRONG_PARAMETERS,
-}
 
 
 def _step_matches(step: ExpectedStep, call: ToolCallRecord) -> bool:
@@ -66,36 +40,42 @@ def reliability(expected: Procedure, observed: ObservedTrace) -> int:
 
 def validate_call(
     call: ToolCallRecord, expected: Procedure, registry: ToolRegistry
-) -> CallValidity:
-    """Judge a single call independent of its position in the trace.
+) -> Verdict | None:
+    """Judge a single call independent of its position in the trace: the
+    ``WrongTool`` verdict it earns, or None when it is valid.
 
-    A name absent from the registry is ``unknown_name``; a registered name
-    not used by the expected procedure is ``outside_procedure``; a procedure
-    tool whose arguments satisfy none of that tool's expected steps (or
-    violate the tool schema) is ``bad_params``.
+    A name absent from the registry is a wrong tool name; a registered name
+    not used by the expected procedure is a tool outside the procedure; a
+    procedure tool whose arguments satisfy none of that tool's expected
+    steps (or violate the tool schema) has wrong parameters. The checks run
+    in that order of severity.
     """
     spec = registry.lookup(call.tool_name)
     if spec is None:
-        return CallValidity(
-            ValidityKind.UNKNOWN_NAME,
-            f"tool {call.tool_name!r} is not registered on any visible server",
-        )
-    if call.tool_name not in expected.tool_names:
-        return CallValidity(
-            ValidityKind.OUTSIDE_PROCEDURE,
-            f"tool {call.tool_name!r} is not part of the expected procedure",
-        )
-    schema_problems = validate_arguments(spec, call.arguments)
-    if schema_problems:
-        return CallValidity(ValidityKind.BAD_PARAMS, "; ".join(schema_problems))
-    candidates = [s for s in expected.steps if s.tool_name == call.tool_name]
-    if not any(s.satisfied_by(call.arguments) for s in candidates):
-        return CallValidity(
-            ValidityKind.BAD_PARAMS,
+        kind = WrongToolKind.WRONG_TOOL_NAME
+        detail = f"tool {call.tool_name!r} is not registered on any visible server"
+    elif call.tool_name not in expected.tool_names:
+        kind = WrongToolKind.TOOL_OUTSIDE_PROCEDURE
+        detail = f"tool {call.tool_name!r} is not part of the expected procedure"
+    elif schema_problems := validate_arguments(spec, call.arguments):
+        kind = WrongToolKind.WRONG_PARAMETERS
+        detail = "; ".join(schema_problems)
+    elif not any(
+        s.satisfied_by(call.arguments) for s in expected.steps if s.tool_name == call.tool_name
+    ):
+        kind = WrongToolKind.WRONG_PARAMETERS
+        detail = (
             f"arguments {dict(call.arguments)!r} do not satisfy any expected "
-            f"{call.tool_name!r} step",
+            f"{call.tool_name!r} step"
         )
-    return CallValidity(ValidityKind.OK)
+    else:
+        return None
+    return Verdict(
+        Outcome.WRONG_TOOL,
+        wrong_tool_subclass=kind,
+        detail=detail,
+        offending_step=call.step_index,
+    )
 
 
 def classify(
@@ -120,15 +100,9 @@ def classify(
         return Verdict(Outcome.NO_TOOL_CALLS, detail="the run issued no tool calls")
 
     for rec in records:
-        validity = validate_call(rec, expected, registry)
-        if not validity.ok:
-            # validate_call already checks in severity order within one call
-            return Verdict(
-                Outcome.WRONG_TOOL,
-                wrong_tool_subclass=_SUBCLASS_FOR_VALIDITY[validity.kind],
-                detail=validity.detail,
-                offending_step=rec.step_index,
-            )
+        wrong = validate_call(rec, expected, registry)
+        if wrong is not None:
+            return wrong
 
     expected_counts = Counter(expected.tool_names)
     seen: Counter[str] = Counter()

@@ -56,8 +56,9 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--servers",
         default=None,
-        help="host:port,host:port,host:port for tool servers 1-3 "
-        "(default: in-process loopback)",
+        help="host:port,host:port,host:port for tool servers 1-3; an empty host "
+        "is 127.0.0.1 (default: in-process loopback for run, ports 8801-8803 "
+        "for serve)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, help="override config worker count"
@@ -104,13 +105,18 @@ def _resolve_config(args: argparse.Namespace) -> HarnessConfig:
     return config
 
 
-def _parse_servers(value: str | None) -> dict[int, str] | None:
-    if value is None:
-        return None
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    if len(parts) != 3:
-        raise ValueError("--servers needs exactly three host:port entries")
-    return {i + 1: f"http://{p}" for i, p in enumerate(parts)}
+def _parse_servers(value: str) -> list[tuple[str, int]]:
+    """The (host, port) of servers 1-3 from ``--servers``: three
+    comma-separated ``host:port`` entries, an empty host meaning 127.0.0.1."""
+    binds = []
+    for entry in value.split(","):
+        host, _, port = entry.strip().rpartition(":")
+        if not port.isdecimal() or int(port) > 65535:
+            raise ModelError(f"--servers entry {entry.strip()!r} is not host:port")
+        binds.append((host or "127.0.0.1", int(port)))
+    if len(binds) != 3:
+        raise ModelError("--servers needs exactly three host:port entries")
+    return binds
 
 
 def _archive_path(out_dir: Path, scenario: str) -> Path:
@@ -153,17 +159,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .runner import HarnessEnv
 
     config = _resolve_config(args)
+    binds = [("127.0.0.1", p) for p in DEFAULT_SERVER_PORTS]
+    if args.servers is not None:
+        binds = _parse_servers(args.servers)
     env = HarnessEnv(config)
-    binds = []
-    if args.servers:
-        for part in args.servers.split(","):
-            host, _, port = part.strip().rpartition(":")
-            binds.append((host or "127.0.0.1", int(port)))
-        if len(binds) != 3:
-            print("serve needs exactly three host:port entries", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        binds = [("127.0.0.1", p) for p in DEFAULT_SERVER_PORTS]
 
     servers = []
     for server_id, (host, port) in zip(
@@ -171,7 +170,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ):
         server = ToolServer(env.hosts[server_id], host, port).start()
         servers.append(server)
-        print(f"server {server_id} listening on {server.url}")
+        print(f"server {server_id} listening on {server.url}", flush=True)
     try:
         threading.Event().wait()
     except KeyboardInterrupt:
@@ -184,11 +183,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    try:
-        server_urls = _parse_servers(args.servers)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    server_urls = None
+    if args.servers is not None:
+        binds = _parse_servers(args.servers)
+        server_urls = {i: f"http://{h}:{p}" for i, (h, p) in enumerate(binds, start=1)}
     archive_path = _archive_path(args.out, args.scenario)
     stats = run_batch(
         config, args.scenario, archive_path, server_urls, progress=print
@@ -242,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ModelError as exc:  # a bad config, found before any run starts
+    except ModelError as exc:  # a bad config or flag, found before any run starts
         print(f"{parser.prog} {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,10 +18,10 @@ from typing import Any, Callable, Mapping
 
 from . import prompts
 from .agent import (
+    ApproachContext,
     Call,
     RemoteChatBackend,
     RunLimits,
-    ScenarioPrompts,
     ScriptedBackend,
     apply_fault,
     build_context,
@@ -29,15 +29,23 @@ from .agent import (
     default_turn_cap,
     run_agent,
 )
-from .archive import RunDocument, append_document, existing_run_ids, iter_lines
+from .archive import (
+    RunDocument,
+    append_document,
+    drop_torn_tail,
+    existing_run_ids,
+    iter_lines,
+)
 from .classify import classify
 from .config import HarnessConfig, ModelConfig
 from .metrics import GroupKey, GroupSummary, summarize, summary_csv_lines
 from .model import (
     Approach,
+    Intent,
     ModelError,
     MonotonicClock,
     Outcome,
+    Procedure,
     TerminatedReason,
     ToolRegistry,
     TraceLevel,
@@ -64,13 +72,14 @@ from .wire import HttpTransport, LoopbackTransport
 SCENARIO_A = "A"
 SCENARIO_B = "B"
 
-_A_SERVERS: Mapping[Approach, int] = {
-    Approach.A1: PROCEDURE_SERVER_ID,
-    Approach.A2: PROCEDURE_SERVER_ID,
-    Approach.A3: PROCEDURE_SERVER_ID,
-    Approach.A4: ENCAPSULATED_SERVER_ID,
+# the one server each approach of a scenario sees
+_SERVERS: Mapping[tuple[str, Approach], int] = {
+    (SCENARIO_A, Approach.A1): PROCEDURE_SERVER_ID,
+    (SCENARIO_A, Approach.A2): PROCEDURE_SERVER_ID,
+    (SCENARIO_A, Approach.A3): PROCEDURE_SERVER_ID,
+    (SCENARIO_A, Approach.A4): ENCAPSULATED_SERVER_ID,
+    (SCENARIO_B, Approach.A1): KPI_SERVER_ID,
 }
-_B_SERVERS: Mapping[Approach, int] = {Approach.A1: KPI_SERVER_ID}
 
 
 def _stable_seed(*parts: Any) -> int:
@@ -94,25 +103,36 @@ class RunCell:
         )
 
 
+@dataclass(frozen=True)
+class RunPlan:
+    """What one (scenario, approach, k) fixes for every run of it: the
+    request, the prompts and visible server, the ground truth and the
+    fault-free calls a scripted model plays."""
+
+    intent: Intent
+    context: ApproachContext
+    expected: Procedure
+    expected_flattened: Procedure | None
+    calls: tuple[Call, ...]
+    k: int
+
+
 class HarnessEnv:
-    """Shared per-batch state: fixtures, pool, hosts, prompt packs."""
+    """Shared per-batch state: the tool hosts, and in ``plans`` one run
+    plan per (scenario, approach, k)."""
 
     def __init__(
         self, config: HarnessConfig, server_urls: Mapping[int, str] | None = None
     ) -> None:
         self.config = config
-        self.fixtures = {f.ue_id: f for f in config.scenario_a.fixtures}
+        fixtures = {f.ue_id: f for f in config.scenario_a.fixtures}
         repo = config.scenario_a.repository_text
-        self.repository_text = (
-            repo if repo is not None else prompts.UE_PROCEDURE_SET_TEXT
-        )
-        self.pool = build_kpi_pool(config.seed)
+        repository_text = repo if repo is not None else prompts.UE_PROCEDURE_SET_TEXT
+        pool = build_kpi_pool(config.seed)
         self.hosts = {
-            ENCAPSULATED_SERVER_ID: build_encapsulated_host(self.fixtures),
-            PROCEDURE_SERVER_ID: build_procedure_host(
-                self.fixtures, self.repository_text
-            ),
-            KPI_SERVER_ID: build_kpi_host(self.pool),
+            ENCAPSULATED_SERVER_ID: build_encapsulated_host(fixtures),
+            PROCEDURE_SERVER_ID: build_procedure_host(fixtures, repository_text),
+            KPI_SERVER_ID: build_kpi_host(pool),
         }
         self.server_urls = dict(server_urls) if server_urls else None
         # what classify_archive checks an A4 run's internal calls against
@@ -120,17 +140,59 @@ class HarnessEnv:
             list(self.hosts[ENCAPSULATED_SERVER_ID].registry)
             + list(self.hosts[PROCEDURE_SERVER_ID].registry)
         )
-        self.prompts_a = ScenarioPrompts(
-            procedure_set_text=self.repository_text, server_by_approach=_A_SERVERS
-        )
-        self.prompts_b = ScenarioPrompts(
-            procedure_set_text=prompts.KPI_PROCEDURE_SET_TEXT,
-            server_by_approach=_B_SERVERS,
-        )
-        self.stress_assets = {
-            k: gen_stress_procedure(self.pool, k, config.seed)
-            for k in config.scenario_b.k_values
-        }
+
+        self.plans: dict[tuple[str, Approach, int], RunPlan] = {}
+        request = config.scenario_a.request
+        ue_id, session_type = request["ue_id"], request["session_type"]
+        intent = make_allocation_intent(ue_id, session_type)
+        step_level = ground_truth_procedure(intent, fixtures)
+        steps = tuple(allocation_plan(fixtures, ue_id, session_type))
+        encapsulated = encapsulated_expected_procedure(intent)
+        encapsulated_call = ((ENCAP_TOOL, {"ue_id": ue_id, "session_type": session_type}),)
+        for approach in config.scenario_a.approaches:
+            a4 = approach is Approach.A4
+            context = build_context(
+                approach,
+                intent,
+                repository_text,
+                _SERVERS[SCENARIO_A, approach],
+                explicit_procedure=step_level,
+            )
+            self.plans[SCENARIO_A, approach, step_level.length] = RunPlan(
+                intent,
+                context,
+                expected=encapsulated if a4 else step_level,
+                expected_flattened=step_level if a4 else None,
+                calls=encapsulated_call if a4 else steps,
+                k=step_level.length,
+            )
+        for k in config.scenario_b.k_values:
+            intent, procedure = gen_stress_procedure(pool, k, config.seed)
+            context = build_context(
+                Approach.A1,
+                intent,
+                prompts.KPI_PROCEDURE_SET_TEXT,
+                _SERVERS[SCENARIO_B, Approach.A1],
+            )
+            region = intent.structured["region"]
+            kpis = intent.structured["required_kpis"]
+            calls = tuple((name, {"region": region}) for name in kpis)
+            self.plans[SCENARIO_B, Approach.A1, k] = RunPlan(
+                intent, context, procedure, None, calls, k
+            )
+
+    def cells(self, scenario: str) -> list[RunCell]:
+        """The batch's runs: scenario A by approach, model and repetition,
+        scenario B by model, k and repetition."""
+        keys = [(approach, k) for s, approach, k in self.plans if s == scenario]
+        models = self.config.models
+        if scenario == SCENARIO_A:
+            reps = range(1, self.config.scenario_a.runs_per_cell + 1)
+            return [RunCell(scenario, a, m, k, r) for a, k in keys for m in models for r in reps]
+        if scenario == SCENARIO_B:
+            reps = range(1, self.config.scenario_b.runs_per_cell + 1)
+            return [RunCell(scenario, a, m, k, r) for m in models for a, k in keys for r in reps]
+        raise ValueError(f"unknown scenario {scenario!r}")
 
     def make_transport(self, clock: Any, tool_latency_ms: int) -> Any:
         if self.server_urls:
@@ -138,21 +200,7 @@ class HarnessEnv:
         return LoopbackTransport(self.hosts, clock, tool_latency_ms)
 
     def visible_registry(self, scenario: str, approach: Approach) -> ToolRegistry:
-        servers = _A_SERVERS if scenario == SCENARIO_A else _B_SERVERS
-        return self.hosts[servers[approach]].registry
-
-
-def _scripted_calls(env: HarnessEnv, cell: RunCell) -> list[Call]:
-    """The fault-free call sequence a scripted model plays for the cell."""
-    if cell.scenario == SCENARIO_B:
-        intent, _ = env.stress_assets[cell.k]
-        region = intent.structured["region"]
-        return [(name, {"region": region}) for name in intent.structured["required_kpis"]]
-    request = env.config.scenario_a.request
-    if cell.approach is Approach.A4:
-        args = {"ue_id": request["ue_id"], "session_type": request["session_type"]}
-        return [(ENCAP_TOOL, args)]
-    return allocation_plan(env.fixtures, request["ue_id"], request["session_type"])
+        return self.hosts[_SERVERS[scenario, approach]].registry
 
 
 def _check_fault_programs(env: HarnessEnv, cells: list[RunCell]) -> None:
@@ -162,7 +210,7 @@ def _check_fault_programs(env: HarnessEnv, cells: list[RunCell]) -> None:
     distinct = {(c.approach, c.model, c.k): c for c in cells if c.model.kind == "scripted"}
     for cell in distinct.values():
         try:
-            apply_fault(_scripted_calls(env, cell), cell.model.fault)
+            apply_fault(env.plans[cell.scenario, cell.approach, cell.k].calls, cell.model.fault)
         except ValueError as exc:
             raise ModelError(
                 f"model {cell.model.model_id!r}, approach {cell.approach.value}, "
@@ -171,55 +219,28 @@ def _check_fault_programs(env: HarnessEnv, cells: list[RunCell]) -> None:
 
 
 def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
-    """One cell repetition: assemble ground truth, drive the agent loop."""
-    config = env.config
+    """One cell repetition: drive the agent loop through the cell's plan."""
+    plan = env.plans[cell.scenario, cell.approach, cell.k]
     scripted = cell.model.kind == "scripted"
     clock = VirtualClock() if scripted else MonotonicClock()
-
-    if cell.scenario == SCENARIO_A:
-        request = config.scenario_a.request
-        intent = make_allocation_intent(request["ue_id"], request["session_type"])
-        step_level = ground_truth_procedure(intent, env.fixtures)
-        scenario_prompts = env.prompts_a
-        if cell.approach is Approach.A4:
-            expected = encapsulated_expected_procedure(intent)
-            expected_flattened = step_level
-        else:
-            expected = step_level
-            expected_flattened = None
-    else:
-        intent, procedure = env.stress_assets[cell.k]
-        expected = procedure
-        expected_flattened = None
-        step_level = procedure
-        scenario_prompts = env.prompts_b
-
-    context = build_context(
-        cell.approach,
-        intent,
-        scenario_prompts,
-        explicit_procedure=step_level if cell.approach is Approach.A3 else None,
-    )
-
     if scripted:
         rng = random.Random(_stable_seed(cell.model.fault.seed, cell.run_id))
-        calls = _scripted_calls(env, cell)
-        playbook = build_playbook(cell.approach, calls, cell.model.fault, rng)
+        playbook = build_playbook(cell.approach, plan.calls, cell.model.fault, rng)
         backend = ScriptedBackend(
             playbook, clock, cell.model.llm_latency_ms, cell.model.model_id
         )
     else:
         backend = RemoteChatBackend(cell.model.endpoint)
 
-    transport = env.make_transport(clock, config.tool_latency_ms if scripted else 0)
+    transport = env.make_transport(clock, env.config.tool_latency_ms if scripted else 0)
     try:
         run = run_agent(
-            context,
-            intent,
+            plan.context,
+            plan.intent,
             backend,
             transport,
             clock,
-            RunLimits(default_turn_cap(step_level.length)),
+            RunLimits(default_turn_cap(plan.k)),
             session_id=cell.run_id,
             run_id=cell.run_id,
         )
@@ -228,31 +249,10 @@ def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
     return RunDocument(
         run=run,
         scenario=cell.scenario,
-        k=step_level.length,
-        expected=expected,
-        expected_flattened=expected_flattened,
+        k=plan.k,
+        expected=plan.expected,
+        expected_flattened=plan.expected_flattened,
     )
-
-
-def build_cells(config: HarnessConfig, scenario: str) -> list[RunCell]:
-    cells = []
-    if scenario == SCENARIO_A:
-        request = config.scenario_a.request
-        intent = make_allocation_intent(request["ue_id"], request["session_type"])
-        fixtures = {f.ue_id: f for f in config.scenario_a.fixtures}
-        k = ground_truth_procedure(intent, fixtures).length
-        for approach in config.scenario_a.approaches:
-            for model in config.models:
-                for rep in range(1, config.scenario_a.runs_per_cell + 1):
-                    cells.append(RunCell(SCENARIO_A, approach, model, k, rep))
-    elif scenario == SCENARIO_B:
-        for model in config.models:
-            for k in config.scenario_b.k_values:
-                for rep in range(1, config.scenario_b.runs_per_cell + 1):
-                    cells.append(RunCell(SCENARIO_B, Approach.A1, model, k, rep))
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    return cells
 
 
 @dataclass
@@ -273,7 +273,8 @@ def run_batch(
     the archive are skipped so interrupted batches can resume. A fault
     program that does not fit raises ``ModelError`` before any run."""
     env = HarnessEnv(config, server_urls)
-    cells = build_cells(config, scenario)
+    cells = env.cells(scenario)
+    drop_torn_tail(archive_path)
     done = existing_run_ids(archive_path)
     stats = BatchStats(skipped=sum(1 for c in cells if c.run_id in done))
     todo = [c for c in cells if c.run_id not in done]

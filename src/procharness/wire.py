@@ -22,7 +22,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 from urllib.parse import urlsplit
 
-from .model import CallOrigin, MonotonicClock, ToolCallRecord, normalize_arguments
+from .model import CallOrigin, ToolCallRecord, VirtualClock, normalize_arguments
 from .toolsim.host import ArgumentValidationError, ToolHost, ToolNotFoundError
 
 SESSION_HEADER = "X-Run-Session"
@@ -196,7 +196,8 @@ class ToolServer:
     def __init__(self, host: ToolHost, bind_host: str = "127.0.0.1", port: int = 0):
         self._httpd = _HttpServer((bind_host, port))
         self._httpd.tool_host = host  # type: ignore[attr-defined]
-        self._httpd.clock = MonotonicClock()  # type: ignore[attr-defined]
+        # simulated tools take no time, as in a scripted loopback run
+        self._httpd.clock = VirtualClock()  # type: ignore[attr-defined]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, args=(SERVE_POLL_S,), daemon=True
         )
@@ -231,7 +232,8 @@ class ToolServer:
 
 
 class _TransportBase:
-    """Shared request bookkeeping for both transports.
+    """Shared request bookkeeping for both transports. A transport serves
+    one run: it numbers the records it returns in the run's order.
 
     ``tool_latency_ms`` is the injected per-call latency used with a virtual
     clock; with a real clock ``advance`` is a no-op and elapsed time is
@@ -241,6 +243,7 @@ class _TransportBase:
     def __init__(self, clock: Any, tool_latency_ms: int = 0) -> None:
         self.clock = clock
         self.tool_latency_ms = tool_latency_ms
+        self._records = 0
         self._next_id = 0
         self._id_lock = threading.Lock()
 
@@ -265,10 +268,10 @@ class _TransportBase:
     def call_tool(
         self, server_id: int, name: str, arguments: Mapping[str, Any], session_id: str
     ) -> tuple[ToolCallRecord, ...]:
-        """The records of one call, numbered from 1: the call itself, then
-        the sub-calls an encapsulated tool reports. A call that fails, on
-        the wire or at the server, is a failed record whose result is
-        ``{"error": message}``."""
+        """The records of one call, numbered on from the records returned
+        before: the call itself, then the sub-calls an encapsulated tool
+        reports. A call that fails, on the wire or at the server, is a
+        failed record whose result is ``{"error": message}``."""
         payload = {
             "jsonrpc": "2.0",
             "id": self._request_id(),
@@ -290,8 +293,9 @@ class _TransportBase:
             result = response["result"]
             content, success = result.get("content"), not result.get("is_error", False)
             internals = result.get("internal_calls", ())
+        first = self._records + 1
         call = ToolCallRecord(
-            step_index=1,
+            step_index=first,
             tool_name=name,
             arguments=normalize_arguments(arguments),
             result=content,
@@ -299,10 +303,12 @@ class _TransportBase:
             started_at=started,
             ended_at=ended,
         )
-        return (call,) + tuple(
+        records = (call,) + tuple(
             _internal_from_wire(item, i, started, ended)
-            for i, item in enumerate(internals, start=2)
+            for i, item in enumerate(internals, start=first + 1)
         )
+        self._records += len(records)
+        return records
 
 
 class LoopbackTransport(_TransportBase):

@@ -394,20 +394,23 @@ def test_criterion_8_wire_round_trip():
         loopback = LoopbackTransport({2: loop_host}, MonotonicClock())
         with ToolServer(build_procedure_host(fixtures)) as server:
             http = HttpTransport({2: server.url}, MonotonicClock())
-            for tool, cases in arg_sets.items():
-                for i, args in enumerate(cases):
-                    want = direct[(tool, i)]
-                    (got_loop,) = loopback.call_tool(2, tool, args, f"loop-{tool}-{i}")
-                    (got_http,) = http.call_tool(2, tool, args, f"http-{tool}-{i}")
-                    assert got_loop.result == want.content, (tool, args)
-                    assert got_http.result == want.content, (tool, args)
-                    assert got_loop.success == got_http.success == (not want.is_error)
+            try:
+                for tool, cases in arg_sets.items():
+                    for i, args in enumerate(cases):
+                        want = direct[(tool, i)]
+                        (got_loop,) = loopback.call_tool(2, tool, args, f"loop-{tool}-{i}")
+                        (got_http,) = http.call_tool(2, tool, args, f"http-{tool}-{i}")
+                        assert got_loop.result == want.content, (tool, args)
+                        assert got_http.result == want.content, (tool, args)
+                        assert got_loop.success == got_http.success == (not want.is_error)
 
-            for transport in (loopback, http):
-                (missing,) = transport.call_tool(2, "no_such_tool", {}, "x")
-                assert not missing.success
-                assert missing.tool_name == "no_such_tool"
-                assert missing.started_at <= missing.ended_at
+                for transport in (loopback, http):
+                    (missing,) = transport.call_tool(2, "no_such_tool", {}, "x")
+                    assert not missing.success
+                    assert missing.tool_name == "no_such_tool"
+                    assert missing.started_at <= missing.ended_at
+            finally:
+                http.close()
 
 
 def _pipeline(out_dir: Path) -> tuple[bytes, bytes]:

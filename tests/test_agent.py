@@ -4,13 +4,13 @@ import random
 
 import pytest
 
+from procharness import prompts
 from procharness.agent import (
     AssistantTurn,
     FaultKind,
     FaultProgram,
     NO_FAULT,
     RunLimits,
-    ScenarioPrompts,
     apply_fault,
     build_context,
     build_playbook,
@@ -188,27 +188,12 @@ def test_turn_cap_default():
 
 
 @pytest.fixture(scope="module")
-def scenario_prompts():
-    from procharness import prompts
-
-    return ScenarioPrompts(
-        procedure_set_text=prompts.UE_PROCEDURE_SET_TEXT,
-        server_by_approach={
-            Approach.A1: 2,
-            Approach.A2: 2,
-            Approach.A3: 2,
-            Approach.A4: 1,
-        },
-    )
-
-
-@pytest.fixture(scope="module")
 def intent():
     return make_allocation_intent("ue-001", "IPv4")
 
 
-def test_context_embedded_procedures(scenario_prompts, intent):
-    ctx = build_context(Approach.A1, intent, scenario_prompts)
+def test_context_embedded_procedures(intent):
+    ctx = build_context(Approach.A1, intent, prompts.UE_PROCEDURE_SET_TEXT, 2)
     for tool in (
         "ue_authorization",
         "static_ip_retrieval",
@@ -222,38 +207,34 @@ def test_context_embedded_procedures(scenario_prompts, intent):
     assert ctx.server_id == 2
 
 
-def test_context_retrieval_instructs_meta_call(scenario_prompts, intent):
-    ctx = build_context(Approach.A2, intent, scenario_prompts)
+def test_context_retrieval_instructs_meta_call(intent):
+    ctx = build_context(Approach.A2, intent, prompts.UE_PROCEDURE_SET_TEXT, 2)
     assert "get_procedures" in ctx.system_prompt
     assert "ue_authorization" not in ctx.system_prompt
 
 
-def test_context_prompt_supplied_steps(scenario_prompts, intent):
+def test_context_prompt_supplied_steps(intent):
     fixtures = default_fixtures()
     procedure = ground_truth_procedure(intent, fixtures)
-    ctx = build_context(Approach.A3, intent, scenario_prompts, explicit_procedure=procedure)
+    ctx = build_context(
+        Approach.A3, intent, prompts.UE_PROCEDURE_SET_TEXT, 2, explicit_procedure=procedure
+    )
     assert "1. ue_authorization" in ctx.user_prompt
     assert "2. static_ip_retrieval" in ctx.user_prompt
     assert "3. ip_assignment" in ctx.user_prompt
     assert "ue_authorization" not in ctx.system_prompt
 
 
-def test_context_encapsulated_has_no_procedure_text(scenario_prompts, intent):
-    ctx = build_context(Approach.A4, intent, scenario_prompts)
+def test_context_encapsulated_has_no_procedure_text(intent):
+    ctx = build_context(Approach.A4, intent, prompts.UE_PROCEDURE_SET_TEXT, 1)
     assert "static_ip_retrieval" not in ctx.system_prompt
     assert "static_ip_retrieval" not in ctx.user_prompt
     assert ctx.server_id == 1
 
 
-def test_context_requires_explicit_procedure_for_a3(scenario_prompts, intent):
+def test_context_requires_explicit_procedure_for_a3(intent):
     with pytest.raises(ValueError):
-        build_context(Approach.A3, intent, scenario_prompts)
-
-
-def test_context_unknown_approach_for_scenario(intent):
-    prompts_b = ScenarioPrompts("text", {Approach.A1: 3})
-    with pytest.raises(ValueError):
-        build_context(Approach.A4, intent, prompts_b)
+        build_context(Approach.A3, intent, prompts.UE_PROCEDURE_SET_TEXT, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +303,7 @@ def test_run_caps_turns():
                 raw_message={"role": "assistant", "content": None},
             )
 
-    ctx = build_context(Approach.A1, intent, env.prompts_a)
+    ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
     run = run_agent(
         ctx, intent, LoopingBackend(), transport, clock, RunLimits(5), "s", "r"
     )
@@ -343,7 +324,7 @@ def test_backend_exception_yields_backend_error():
         def step(self, messages, tools):
             raise RuntimeError("boom")
 
-    ctx = build_context(Approach.A1, intent, env.prompts_a)
+    ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
     run = run_agent(
         ctx, intent, BrokenBackend(), transport, clock, RunLimits(5), "s", "r"
     )
@@ -387,7 +368,7 @@ def test_multiple_calls_in_one_turn_execute_in_order():
                 raw_message={"role": "assistant", "content": None},
             )
 
-    ctx = build_context(Approach.A1, intent, env.prompts_a)
+    ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
     run = run_agent(
         ctx, intent, BatchingBackend(), transport, clock, RunLimits(5), "s", "r"
     )

@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CANONICAL_ARGS, make_trace
-from procharness.classify import (
-    CallValidity,
-    ValidityKind,
-    classify,
-    reliability,
-    validate_call,
-)
+from procharness.classify import classify, reliability, validate_call
 from procharness.model import (
     ExpectedStep,
     Outcome,
@@ -73,21 +67,21 @@ def test_validate_call_unknown_name(static_ip_procedure, scenario_a_registry):
     validity = validate_call(
         _call(UNKNOWN, {}), static_ip_procedure, scenario_a_registry
     )
-    assert validity.kind is ValidityKind.UNKNOWN_NAME
+    assert validity.wrong_tool_subclass is WrongToolKind.WRONG_TOOL_NAME
 
 
 def test_validate_call_outside_procedure(static_ip_procedure, scenario_a_registry):
     validity = validate_call(
         _call(DHCP4, {"ue_id": "ue-001"}), static_ip_procedure, scenario_a_registry
     )
-    assert validity.kind is ValidityKind.OUTSIDE_PROCEDURE
+    assert validity.wrong_tool_subclass is WrongToolKind.TOOL_OUTSIDE_PROCEDURE
 
 
 def test_validate_call_missing_required_param(static_ip_procedure, scenario_a_registry):
     validity = validate_call(
         _call(AUTH, {"session_type": "IPv4"}), static_ip_procedure, scenario_a_registry
     )
-    assert validity.kind is ValidityKind.BAD_PARAMS
+    assert validity.wrong_tool_subclass is WrongToolKind.WRONG_PARAMETERS
 
 
 def test_validate_call_constraint_violation(static_ip_procedure, scenario_a_registry):
@@ -96,14 +90,14 @@ def test_validate_call_constraint_violation(static_ip_procedure, scenario_a_regi
         static_ip_procedure,
         scenario_a_registry,
     )
-    assert validity.kind is ValidityKind.BAD_PARAMS
+    assert validity.wrong_tool_subclass is WrongToolKind.WRONG_PARAMETERS
 
 
 def test_validate_call_ok(static_ip_procedure, scenario_a_registry):
     validity = validate_call(
         _call(AUTH, CANONICAL_ARGS[AUTH]), static_ip_procedure, scenario_a_registry
     )
-    assert validity.ok
+    assert validity is None
 
 
 def test_validate_call_multiple_steps_same_tool(scenario_a_registry):
@@ -116,9 +110,9 @@ def test_validate_call_multiple_steps_same_tool(scenario_a_registry):
         ),
     )
     ok = validate_call(_call(STATIC, {"ue_id": "ue-002"}), p, scenario_a_registry)
-    assert ok.ok
+    assert ok is None
     bad = validate_call(_call(STATIC, {"ue_id": "ue-003"}), p, scenario_a_registry)
-    assert bad.kind is ValidityKind.BAD_PARAMS
+    assert bad.wrong_tool_subclass is WrongToolKind.WRONG_PARAMETERS
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +265,3 @@ def test_reference_oracle_trivial_cases(scenario_a_registry):
         reference_classify(two, make_trace((AUTH, STATIC)), scenario_a_registry).outcome
         is Outcome.CORRECT
     )
-
-
-def test_call_validity_dataclass():
-    v = CallValidity(ValidityKind.OK)
-    assert v.ok and v.detail == ""

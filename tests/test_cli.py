@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import procharness
 from procharness.archive import load_documents
 from procharness.cli import main
 from procharness.config import config_from_dict, load_config
@@ -199,6 +205,53 @@ def test_run_servers_flag_validation(tmp_path):
         )
         == 1
     )
+
+
+@pytest.mark.parametrize("command", ["run", "serve"])
+@pytest.mark.parametrize(
+    "servers", ["only-one:8801", "a:1,b:x,c:3", "a:1,b:2,c:99999", "a:1,b:2,c:3,"]
+)
+def test_bad_servers_value_is_one_line_usage_error(tmp_path, capsys, command, servers):
+    argv = [command, "--servers", servers, "--out", str(tmp_path)]
+    if command == "run":
+        argv += ["--scenario", "A"]
+    assert _cli(*argv) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_serve_then_run_against_it(tmp_path, small_config):
+    src = str(Path(procharness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "procharness", "serve",
+         "--servers", "127.0.0.1:0,127.0.0.1:0,:0"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    watchdog = threading.Timer(30, serve.kill)  # a hung server ends the reads below
+    watchdog.start()
+    try:
+        lines = [serve.stdout.readline() for _ in range(3)]
+        assert [line.split(" listening on ")[0] for line in lines] == [
+            "server 1", "server 2", "server 3"
+        ]
+        servers = ",".join(line.split("http://")[1].strip() for line in lines)
+        out = tmp_path / "out"
+        argv = ["--config", str(small_config), "--out", str(out), "--servers", servers]
+        assert _cli("run", "--scenario", "A", *argv) == 0
+        assert _cli("classify", "--scenario", "A", *argv) == 0
+        classified = load_documents(out / "runs_a_classified.jsonl")
+        assert len(classified) == 8
+        assert all(d.verdict_agent.outcome is Outcome.CORRECT for d in classified)
+        serve.send_signal(signal.SIGINT)
+        assert serve.wait(timeout=10) == 0
+    finally:
+        watchdog.cancel()
+        if serve.poll() is None:
+            serve.kill()
+            serve.wait()
+        serve.stdout.close()
 
 
 def test_seed_override_changes_pool(tmp_path):

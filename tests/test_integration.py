@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import tempfile
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procharness import prompts
-from procharness.agent import Approach, RemoteEndpointConfig, build_context
+from procharness import prompts, runner
+from procharness.agent import Approach, RemoteEndpointConfig
 from procharness.archive import load_documents
 from procharness.classify import classify
 from procharness.config import (
@@ -34,8 +35,8 @@ from procharness.runner import (
     run_batch,
     write_reports,
 )
-from procharness.toolsim import META_TOOL_NAME, make_allocation_intent
-from procharness.wire import ToolServer
+from procharness.toolsim import META_TOOL_NAME
+from procharness.wire import SERVE_POLL_S, ToolServer
 
 
 def _small_config(**overrides) -> HarnessConfig:
@@ -90,6 +91,31 @@ def test_http_batch_matches_loopback_with_one_connection_per_run(
     assert accepted_connections == [servers[2].address[1]] * 4
 
 
+def test_encapsulated_runs_over_http_match_loopback(tmp_path):
+    # a fresh set of servers: their per-run tool state outlives a batch
+    config = HarnessConfig(
+        workers=2,
+        scenario_a=ScenarioAConfig(
+            runs_per_cell=50,
+            approaches=(Approach.A4,),
+            request={"ue_id": "ue-002", "session_type": "IPv4v6"},
+        ),
+    )
+    loopback = tmp_path / "loopback.jsonl"
+    run_batch(config, SCENARIO_A, loopback)
+
+    env = HarnessEnv(config)
+    servers = [ToolServer(env.hosts[i]).start() for i in (1, 2, 3)]
+    try:
+        urls = {i: server.url for i, server in zip((1, 2, 3), servers)}
+        over_http = tmp_path / "http.jsonl"
+        run_batch(config, SCENARIO_A, over_http, server_urls=urls)
+    finally:
+        for server in servers:
+            server.close()
+    assert over_http.read_bytes() == loopback.read_bytes()
+
+
 def test_repository_fetch_matches_embedded_rendering():
     env = HarnessEnv(HarnessConfig())
     from procharness.model import VirtualClock
@@ -97,8 +123,7 @@ def test_repository_fetch_matches_embedded_rendering():
 
     transport = LoopbackTransport(env.hosts, VirtualClock())
     fetched = transport.call_tool(2, META_TOOL_NAME, {}, "s")[0].result
-    intent = make_allocation_intent("ue-001", "IPv4")
-    ctx = build_context(Approach.A1, intent, env.prompts_a)
+    ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
     assert fetched == prompts.UE_PROCEDURE_SET_TEXT
     assert fetched in ctx.system_prompt
     again = transport.call_tool(2, META_TOOL_NAME, {}, "s")[0].result
@@ -110,8 +135,7 @@ def test_empty_repository_config_degrades_gracefully():
         scenario_a=ScenarioAConfig(runs_per_cell=1, repository_text="")
     )
     env = HarnessEnv(config)
-    intent = make_allocation_intent("ue-001", "IPv4")
-    ctx = build_context(Approach.A1, intent, env.prompts_a)
+    ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
     assert ctx.system_prompt == prompts.SYSTEM_BASE
     from procharness.model import VirtualClock
     from procharness.wire import LoopbackTransport
@@ -160,6 +184,38 @@ def test_resume_after_a_torn_write_gives_the_uninterrupted_archive(
         assert archive.read_bytes() == uninterrupted_archive
 
 
+def test_run_plans_are_built_once_per_batch(tmp_path, monkeypatch):
+    counts = Counter()
+
+    def counted(name):
+        original = getattr(runner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in (
+        "make_allocation_intent",
+        "ground_truth_procedure",
+        "allocation_plan",
+        "build_context",
+    ):
+        monkeypatch.setattr(runner, name, counted(name))
+    config = _small_config()
+    stats = run_batch(config, SCENARIO_A, tmp_path / "runs_a.jsonl")
+    assert stats.attempted == 8
+    # one context per approach of scenario A and per stress length of B
+    n_plans = len(config.scenario_a.approaches) + len(config.scenario_b.k_values)
+    assert counts == {
+        "make_allocation_intent": 1,
+        "ground_truth_procedure": 1,
+        "allocation_plan": 1,
+        "build_context": n_plans,
+    }
+
+
 def test_worker_pool_preserves_results(tmp_path):
     serial = _small_config(workers=1)
     parallel = _small_config(workers=4)
@@ -204,7 +260,9 @@ def fake_endpoint():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FakeChatHandler)
     server.script = []
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True
+    )
     thread.start()
     host, port = server.server_address[:2]
     yield server, f"http://{host}:{port}"

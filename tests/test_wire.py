@@ -24,6 +24,7 @@ from procharness.wire import (
     ERR_TOOL_NOT_FOUND,
     HttpTransport,
     LoopbackTransport,
+    SERVE_POLL_S,
     SESSION_HEADER,
     ToolServer,
     handle_rpc,
@@ -189,23 +190,29 @@ def test_http_server_round_trip(fixtures):
     host = build_procedure_host(fixtures, repository_text="text")
     with ToolServer(host) as server:
         transport = HttpTransport({2: server.url}, MonotonicClock())
-        names = [d["name"] for d in transport.list_tools(2)]
-        assert AUTH_TOOL in names
-        (call,) = transport.call_tool(
-            2, AUTH_TOOL, {"ue_id": "ue-001", "session_type": "IPv4"}, "run-http"
-        )
-        assert call.success and call.result["status"] == "authorized"
-        (missing,) = transport.call_tool(2, "foo", {}, "run-http")
-        assert not missing.success
+        try:
+            names = [d["name"] for d in transport.list_tools(2)]
+            assert AUTH_TOOL in names
+            (call,) = transport.call_tool(
+                2, AUTH_TOOL, {"ue_id": "ue-001", "session_type": "IPv4"}, "run-http"
+            )
+            assert call.success and call.result["status"] == "authorized"
+            (missing,) = transport.call_tool(2, "foo", {}, "run-http")
+            assert not missing.success
+        finally:
+            transport.close()
 
 
 def test_http_session_isolation_via_header(fixtures):
     host = build_procedure_host(fixtures, repository_text=None)
     with ToolServer(host) as server:
         transport = HttpTransport({2: server.url}, MonotonicClock())
-        (a1,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s-a")
-        (b1,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s-b")
-        (a2,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s-a")
+        try:
+            (a1,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s-a")
+            (b1,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s-b")
+            (a2,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s-a")
+        finally:
+            transport.close()
         assert a1.result["address"] == b1.result["address"] == "100.64.0.1"
         assert a2.result["address"] == "100.64.0.2"
 
@@ -292,7 +299,9 @@ def test_http_transport_reconnects_to_a_closing_http10_server(
 ):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Http10Handler)
     server.tool_host = build_procedure_host(fixtures, repository_text=None)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True
+    )
     thread.start()
     host, port = server.server_address[:2]
     transport = HttpTransport({2: f"http://{host}:{port}"}, MonotonicClock(), timeout_s=2.0)

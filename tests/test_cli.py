@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -152,6 +153,21 @@ def test_fault_that_does_not_fit_fails_before_any_run(tmp_path, capsys):
             "scenario_a.request needs 'session_type'",
             id="request-without-session-type",
         ),
+        pytest.param({"seed": "x"}, "seed must be an integer, got 'x'", id="seed-not-int"),
+        pytest.param([], "a config must be a JSON object, got list", id="top-level-list"),
+        pytest.param(
+            {"tool_latency_ms": -5}, "tool_latency_ms must be at least 0", id="tool-latency"
+        ),
+        pytest.param(
+            {"models": [{"model_id": "slow", "llm_latency_ms": -3}]},
+            "model 'slow': llm_latency_ms must be at least 0",
+            id="llm-latency",
+        ),
+        pytest.param(
+            {"scenario_b": {"k_values": [5, 101]}},
+            "scenario_b.k_values must lie in 1..100, got 101",
+            id="k-out-of-range",
+        ),
     ],
 )
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, message):
@@ -160,6 +176,7 @@ def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, message):
     assert _cli("run", "--scenario", "A", "--config", str(path), "--out", str(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [f"procharness run: {message}"]
+    assert not (tmp_path / "runs_a.jsonl").exists()
 
 
 def test_classify_skips_corrupt_lines(tmp_path, small_config, capsys):
@@ -252,6 +269,42 @@ def test_serve_then_run_against_it(tmp_path, small_config):
             serve.kill()
             serve.wait()
         serve.stdout.close()
+
+
+def test_serve_on_a_port_in_use_is_one_line_usage_error():
+    src = str(Path(procharness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        serve = subprocess.run(
+            [sys.executable, "-m", "procharness", "serve",
+             "--servers", f"127.0.0.1:0,127.0.0.1:{port},127.0.0.1:0"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+    assert serve.returncode == 1
+    assert serve.stdout.startswith("server 1 listening on http://127.0.0.1:")
+    assert serve.stderr.splitlines() == [
+        f"procharness serve: server 2 cannot listen on 127.0.0.1:{port}: "
+        "Address already in use"
+    ]
+
+
+def test_serve_closes_the_servers_it_started_when_one_cannot_bind(capsys):
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        assert _cli("serve", "--servers", f"127.0.0.1:0,127.0.0.1:{port},127.0.0.1:0") == 1
+    started = capsys.readouterr().out.split("http://")[1].strip()
+    host, _, started_port = started.rpartition(":")
+    # the port is free again only if server 1 was closed
+    with socket.socket() as probe:
+        probe.bind((host, int(started_port)))
 
 
 def test_seed_override_changes_pool(tmp_path):

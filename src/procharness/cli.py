@@ -165,13 +165,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     env = HarnessEnv(config)
 
     servers = []
-    for server_id, (host, port) in zip(
-        (ENCAPSULATED_SERVER_ID, PROCEDURE_SERVER_ID, KPI_SERVER_ID), binds
-    ):
-        server = ToolServer(env.hosts[server_id], host, port).start()
-        servers.append(server)
-        print(f"server {server_id} listening on {server.url}", flush=True)
     try:
+        for server_id, (host, port) in zip(
+            (ENCAPSULATED_SERVER_ID, PROCEDURE_SERVER_ID, KPI_SERVER_ID), binds
+        ):
+            try:
+                server = ToolServer(env.hosts[server_id], host, port).start()
+            except OSError as exc:
+                raise ModelError(
+                    f"server {server_id} cannot listen on {host}:{port}: {exc.strerror or exc}"
+                ) from None
+            servers.append(server)
+            print(f"server {server_id} listening on {server.url}", flush=True)
         threading.Event().wait()
     except KeyboardInterrupt:
         pass

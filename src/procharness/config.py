@@ -9,7 +9,14 @@ from typing import Any, Mapping
 
 from .agent import NO_FAULT, FaultProgram, RemoteEndpointConfig
 from .model import Approach, ModelError
-from .toolsim import STRESS_LENGTHS, UeFixture, default_fixtures
+from .toolsim import POOL_SIZE, STRESS_LENGTHS, UeFixture, default_fixtures
+
+
+def _int(d: Mapping[str, Any], key: str, default: int) -> int:
+    value = d.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ModelError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -25,6 +32,8 @@ class ModelConfig:
             raise ModelError(f"unknown model kind {self.kind!r}")
         if self.kind == "openai_chat" and self.endpoint is None:
             raise ModelError(f"model {self.model_id!r} needs an endpoint config")
+        if self.llm_latency_ms < 0:
+            raise ModelError(f"model {self.model_id!r}: llm_latency_ms must be at least 0")
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "ModelConfig":
@@ -44,7 +53,7 @@ class ModelConfig:
             model_id=d.get("model_id", "scripted"),
             kind=d.get("kind", "scripted"),
             fault=FaultProgram.from_dict(d.get("fault", {})),
-            llm_latency_ms=int(d.get("llm_latency_ms", 1)),
+            llm_latency_ms=_int(d, "llm_latency_ms", 1),
             endpoint=endpoint,
         )
 
@@ -84,6 +93,9 @@ class ScenarioBConfig:
     def __post_init__(self) -> None:
         if self.runs_per_cell < 1:
             raise ModelError("runs_per_cell must be at least 1")
+        for k in self.k_values:
+            if not 1 <= k <= POOL_SIZE:
+                raise ModelError(f"scenario_b.k_values must lie in 1..{POOL_SIZE}, got {k}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +110,8 @@ class HarnessConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ModelError("workers must be at least 1")
+        if self.tool_latency_ms < 0:
+            raise ModelError("tool_latency_ms must be at least 0")
 
 
 def _scenario_a_from_dict(d: Mapping[str, Any]) -> ScenarioAConfig:
@@ -124,14 +138,16 @@ def _scenario_b_from_dict(d: Mapping[str, Any]) -> ScenarioBConfig:
     )
 
 
-def config_from_dict(d: Mapping[str, Any]) -> HarnessConfig:
+def config_from_dict(d: Any) -> HarnessConfig:
+    if not isinstance(d, Mapping):
+        raise ModelError(f"a config must be a JSON object, got {type(d).__name__}")
     models: tuple[ModelConfig, ...] = (ModelConfig(),)
     if "models" in d:
         models = tuple(ModelConfig.from_dict(m) for m in d["models"])
     return HarnessConfig(
-        seed=int(d.get("seed", 42)),
-        workers=int(d.get("workers", 1)),
-        tool_latency_ms=int(d.get("tool_latency_ms", 1)),
+        seed=_int(d, "seed", 42),
+        workers=_int(d, "workers", 1),
+        tool_latency_ms=_int(d, "tool_latency_ms", 1),
         scenario_a=_scenario_a_from_dict(d.get("scenario_a", {})),
         scenario_b=_scenario_b_from_dict(d.get("scenario_b", {})),
         models=models,

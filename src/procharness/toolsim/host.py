@@ -72,13 +72,14 @@ class ToolHost:
             raise ValueError(f"no handler for tools: {missing}")
         self._handlers = dict(handlers)
         self._session_factory = session_factory
+        self._descriptors = [spec.to_dict() for spec in self.registry]
         self._sessions: dict[str, Any] = {}
         self._session_locks: dict[str, threading.Lock] = {}
         self._lock = threading.Lock()
 
     def list_tools(self) -> list[dict[str, Any]]:
-        """Descriptors in registration order; byte-stable across calls."""
-        return [spec.to_dict() for spec in self.registry]
+        """Descriptors in registration order, built once: the tools never change."""
+        return self._descriptors
 
     def _session_slot(self, session_id: str) -> tuple[Any, threading.Lock]:
         with self._lock:

@@ -130,19 +130,18 @@ class KpiToolPool(Jsonable):
     def __post_init__(self) -> None:
         if len(self.tools) != POOL_SIZE:
             raise ModelError(f"pool must hold exactly {POOL_SIZE} tools")
-        names = [t.name for t in self.tools]
-        if len(set(names)) != len(names):
+        by_name = {t.name: t for t in self.tools}
+        if len(by_name) != len(self.tools):
             raise ModelError("pool tool names must be unique")
+        # a plain attribute, not a field: the pool's JSON stays as it is
+        object.__setattr__(self, "_by_name", by_name)
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.tools)
 
     def get(self, name: str) -> KpiToolDef | None:
-        for t in self.tools:
-            if t.name == name:
-                return t
-        return None
+        return self._by_name.get(name)
 
     def to_dict(self) -> dict[str, Any]:
         # the algorithm and size go out with the pool so that its values

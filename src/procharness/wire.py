@@ -4,7 +4,7 @@ The protocol is a minimal JSON-RPC-2.0-shaped HTTP POST exchange with two
 methods, ``tools/list`` and ``tools/call``. The run-session identifier
 travels in a request header so tool names stay clean. An in-process
 loopback transport shares the exact request-handling path with the HTTP
-server, so both behave identically.
+server, JSON encoding aside, so both behave identically.
 
 The socket path keeps connections open (HTTP/1.1 keep-alive, RFC 9112
 section 9): a client transport holds one connection per server for the
@@ -324,9 +324,9 @@ class LoopbackTransport(_TransportBase):
         host = self.hosts.get(server_id)
         if host is None:
             raise RuntimeError(f"no server {server_id} configured")
-        # JSON round-trip keeps payloads identical to what the socket path sees
-        wire_payload = json.loads(json.dumps(payload))
-        return json.loads(json.dumps(handle_rpc(host, wire_payload, session_id, self.clock)))
+        # no JSON round trip: a handler sees what the socket path would decode
+        # (tests/test_wire.py, test_handle_rpc_needs_no_json_round_trip)
+        return handle_rpc(host, payload, session_id, self.clock)
 
 
 class HttpTransport(_TransportBase):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procharness import prompts, runner
-from procharness.agent import Approach, RemoteEndpointConfig
+from procharness.agent import Approach, FaultProgram, RemoteEndpointConfig
 from procharness.archive import load_documents
 from procharness.classify import classify
 from procharness.config import (
@@ -67,11 +67,25 @@ def test_batch_over_real_sockets(tmp_path):
             server.close()
 
 
+def _fault_model(model_id, **fault):
+    return ModelConfig(model_id=model_id, fault=FaultProgram.from_dict(fault))
+
+
 def test_http_batch_matches_loopback_with_one_connection_per_run(
     tmp_path, accepted_connections
 ):
+    # a fault-free model and one per error reply: an unknown tool (-32001), a
+    # missing parameter (-32602 with the problems) and a tool of another server
+    models = (
+        ModelConfig(),
+        _fault_model("halluc2", kind="hallucinate_name_at", step=2),
+        _fault_model("drop2", kind="drop_param_at", step=2),
+        _fault_model("outside2", kind="call_outside_at", step=2, tool="ue_authorization"),
+    )
     config = HarnessConfig(
-        workers=2, scenario_b=ScenarioBConfig(runs_per_cell=2, k_values=(5, 10))
+        workers=2,
+        scenario_b=ScenarioBConfig(runs_per_cell=2, k_values=(5, 10, 50)),
+        models=models,
     )
     loopback = tmp_path / "loopback.jsonl"
     run_batch(config, SCENARIO_B, loopback)
@@ -85,10 +99,31 @@ def test_http_batch_matches_loopback_with_one_connection_per_run(
     finally:
         for server in servers:
             server.close()
-    assert stats.attempted == 4 and stats.backend_errors == 0
+    assert stats.attempted == 24 and stats.backend_errors == 0
     assert over_http.read_bytes() == loopback.read_bytes()
     # scenario B uses the KPI server (id 3) only
-    assert accepted_connections == [servers[2].address[1]] * 4
+    assert accepted_connections == [servers[2].address[1]] * 24
+
+
+def test_loopback_replies_share_no_state_a_later_run_can_see():
+    config = HarnessConfig(
+        scenario_a=ScenarioAConfig(runs_per_cell=1),
+        scenario_b=ScenarioBConfig(runs_per_cell=2, k_values=(5, 50)),
+        models=(ModelConfig(), _fault_model("drop1", kind="drop_param_at", step=1)),
+    )
+    env = HarnessEnv(config)
+    listed = {i: json.dumps(host.list_tools()) for i, host in env.hosts.items()}
+    # scenario A runs once: its DHCP cursors outlive the run
+    for cell in env.cells(SCENARIO_A):
+        execute_run(env, cell)
+
+    def archived(cell):
+        return json.dumps(execute_run(env, cell).to_dict(), sort_keys=True)
+
+    cells = env.cells(SCENARIO_B)
+    first = [archived(cell) for cell in cells]
+    assert [archived(cell) for cell in cells] == first
+    assert {i: json.dumps(host.list_tools()) for i, host in env.hosts.items()} == listed
 
 
 def test_encapsulated_runs_over_http_match_loopback(tmp_path):

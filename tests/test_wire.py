@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from procharness.model import CallOrigin, MonotonicClock, VirtualClock
+from procharness.model import CallOrigin, MonotonicClock, ValueKind, VirtualClock
 from procharness.toolsim import (
     AUTH_TOOL,
     ENCAP_TOOL,
@@ -160,6 +163,102 @@ def test_handle_rpc_error_codes(procedure_host):
         clock,
     )
     assert bad_args["error"]["code"] == ERR_INVALID_PARAMS
+
+
+_WORDS = st.sampled_from(
+    ["ue-001", "ue-002", "ue-404", "IPv4", "IPv6", "IPv4v6", "ipv4", "10.0.0.42",
+     "100.64.0.1,2001:db8::1", "region-3", "region-99"]
+) | st.text(max_size=6)
+
+
+def _padded(words):
+    """Words with whitespace around them, which the host trims."""
+    padding = st.sampled_from(["", " ", "  ", "\t", "\n", " \r\n"])
+    return st.builds(lambda before, word, after: before + word + after, padding, words, padding)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _padded(_WORDS),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _fitting_value(param):
+    if param.kind is ValueKind.INTEGER:
+        return st.integers()
+    return _padded(st.sampled_from(param.enum_values) if param.enum_values else _WORDS)
+
+
+def _misspellings(name):
+    return st.sampled_from(
+        [name.upper(), f"{name}_check", name[:-1], f" {name}", name.replace("_", "-")]
+    )
+
+
+@pytest.fixture(scope="module")
+def every_host(fixtures):
+    return [
+        build_encapsulated_host(fixtures),
+        build_procedure_host(fixtures, repository_text="procedures here"),
+        build_kpi_host(build_kpi_pool(42)),
+    ]
+
+
+_SESSIONS = itertools.count(1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_handle_rpc_needs_no_json_round_trip(every_host, data):
+    # the loopback transport hands its request to handle_rpc and takes the
+    # reply as they are; this is the reply the socket path's decoded request
+    # gets, byte for byte once encoded, and the handler leaves the request
+    # untouched
+    host = data.draw(st.sampled_from(every_host), label="host")
+    names = [s.name for s in host.registry]
+    params = sorted({p.name for s in host.registry for p in s.params})
+    payload = {
+        "jsonrpc": "2.0",
+        "id": data.draw(st.integers(0, 2**31), label="id"),
+        "method": data.draw(st.sampled_from(["tools/list", "tools/call"]), label="method"),
+    }
+    if payload["method"] == "tools/call":
+        name = data.draw(
+            st.sampled_from(names)
+            | st.sampled_from(names).flatmap(_misspellings)
+            | st.text(max_size=12),
+            label="name",
+        )
+        spec = host.registry.lookup(name)
+        own = spec.params if spec else ()
+        # values of the right kind, so that many calls reach a handler
+        fitting = st.fixed_dictionaries(
+            {p.name: _fitting_value(p) for p in own}, optional={"extra": _JSON_VALUES}
+        )
+        arguments = data.draw(
+            fitting
+            | st.fixed_dictionaries({p.name: _JSON_VALUES for p in own})
+            | st.dictionaries(st.sampled_from(params) | st.text(max_size=6), _JSON_VALUES, max_size=4)
+            | _JSON_VALUES,
+            label="arguments",
+        )
+        payload["params"] = {"name": name, "arguments": arguments}
+    sent = json.dumps(payload)  # as HttpTransport encodes it, key order kept
+    # a session of its own per side: DHCP cursors start from the same place
+    n = next(_SESSIONS)
+    direct = handle_rpc(host, payload, f"direct-{n}", VirtualClock())
+    decoded = handle_rpc(host, json.loads(sent), f"decoded-{n}", VirtualClock())
+    assert json.dumps(direct, sort_keys=True) == json.dumps(decoded, sort_keys=True)
+    assert json.dumps(payload) == sent
 
 
 def test_wire_field_names(procedure_host):

@@ -89,16 +89,6 @@ class FaultProgram:
     prob: float = 0.0  # per-step stop probability for random_stop
     seed: int = 0
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "FaultProgram":
-        return cls(
-            kind=FaultKind(d.get("kind", "none")),
-            step=d.get("step"),
-            tool=d.get("tool"),
-            prob=float(d.get("prob", 0.0)),
-            seed=int(d.get("seed", 0)),
-        )
-
 
 NO_FAULT = FaultProgram()
 
@@ -159,7 +149,6 @@ def build_playbook(
     procedure_calls: Sequence[Call],
     fault: FaultProgram = NO_FAULT,
     rng: random.Random | None = None,
-    summary: str = prompts.FINAL_SUMMARY_TEXT,
 ) -> list[AssistantTurn]:
     """Fault-free playbooks emit the ground-truth sequence one call per turn
     and then a final summary turn; fault programs perturb the call list."""
@@ -171,7 +160,7 @@ def build_playbook(
         )
     for i, (name, args) in enumerate(calls, start=1):
         turns.append(AssistantTurn(tool_calls=(ToolCallRequest(f"call_{i}", name, args),)))
-    turns.append(AssistantTurn(text=summary))
+    turns.append(AssistantTurn(text=prompts.FINAL_SUMMARY_TEXT))
     return turns
 
 
@@ -281,8 +270,8 @@ def descriptor_to_chat_tool(descriptor: Mapping[str, Any]) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class RemoteEndpointConfig:
-    model: str
     base_url: str
+    model: str = ""  # empty: the model entry's model_id
     api_key_env: str = "PROCHARNESS_API_KEY"
     temperature: float = 0.0
     max_output_tokens: int | None = 1024

@@ -2,21 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from collections import abc
+from dataclasses import MISSING, dataclass, field, fields, replace
+from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping
+from types import UnionType
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 from .agent import NO_FAULT, FaultProgram, RemoteEndpointConfig
 from .model import Approach, ModelError
 from .toolsim import POOL_SIZE, STRESS_LENGTHS, UeFixture, default_fixtures
-
-
-def _int(d: Mapping[str, Any], key: str, default: int) -> int:
-    value = d.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ModelError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -34,39 +31,15 @@ class ModelConfig:
             raise ModelError(f"model {self.model_id!r} needs an endpoint config")
         if self.llm_latency_ms < 0:
             raise ModelError(f"model {self.model_id!r}: llm_latency_ms must be at least 0")
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "ModelConfig":
-        endpoint = None
-        if "endpoint" in d and d["endpoint"] is not None:
-            e = d["endpoint"]
-            endpoint = RemoteEndpointConfig(
-                model=e.get("model", d.get("model_id", "")),
-                base_url=e["base_url"],
-                api_key_env=e.get("api_key_env", "PROCHARNESS_API_KEY"),
-                temperature=float(e.get("temperature", 0.0)),
-                max_output_tokens=e.get("max_output_tokens", 1024),
-                retries=int(e.get("retries", 2)),
-                timeout_s=float(e.get("timeout_s", 60.0)),
-            )
-        return cls(
-            model_id=d.get("model_id", "scripted"),
-            kind=d.get("kind", "scripted"),
-            fault=FaultProgram.from_dict(d.get("fault", {})),
-            llm_latency_ms=_int(d, "llm_latency_ms", 1),
-            endpoint=endpoint,
-        )
+        if self.endpoint is not None and not self.endpoint.model:
+            # an endpoint without a model serves the entry's model id
+            object.__setattr__(self, "endpoint", replace(self.endpoint, model=self.model_id))
 
 
 @dataclass(frozen=True)
 class ScenarioAConfig:
     runs_per_cell: int = 50
-    approaches: tuple[Approach, ...] = (
-        Approach.A1,
-        Approach.A2,
-        Approach.A3,
-        Approach.A4,
-    )
+    approaches: tuple[Approach, ...] = tuple(Approach)
     request: Mapping[str, str] = field(
         default_factory=lambda: {"ue_id": "ue-001", "session_type": "IPv4"}
     )
@@ -89,8 +62,11 @@ class ScenarioBConfig:
 
     runs_per_cell: int = 30
     k_values: tuple[int, ...] = STRESS_LENGTHS
+    approaches: tuple[Approach, ...] = (Approach.A1,)
 
     def __post_init__(self) -> None:
+        if self.approaches != (Approach.A1,):
+            raise ModelError("the stress scenario only supports the prompt-embedded approach")
         if self.runs_per_cell < 1:
             raise ModelError("runs_per_cell must be at least 1")
         for k in self.k_values:
@@ -114,44 +90,59 @@ class HarnessConfig:
             raise ModelError("tool_latency_ms must be at least 0")
 
 
-def _scenario_a_from_dict(d: Mapping[str, Any]) -> ScenarioAConfig:
-    base = ScenarioAConfig()
-    fixtures = base.fixtures
-    if "fixtures" in d:
-        fixtures = tuple(UeFixture.from_dict(f) for f in d["fixtures"])
-    return ScenarioAConfig(
-        runs_per_cell=int(d.get("runs_per_cell", base.runs_per_cell)),
-        approaches=tuple(Approach(a) for a in d.get("approaches", [a.value for a in base.approaches])),
-        request=dict(d.get("request", base.request)),
-        fixtures=fixtures,
-        repository_text=d.get("repository_text", base.repository_text),
-    )
+_SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+_type_hints = functools.cache(get_type_hints)
 
 
-def _scenario_b_from_dict(d: Mapping[str, Any]) -> ScenarioBConfig:
-    if d.get("approaches", ["A1"]) != ["A1"]:
-        raise ModelError("the stress scenario only supports the prompt-embedded approach")
-    base = ScenarioBConfig()
-    return ScenarioBConfig(
-        runs_per_cell=int(d.get("runs_per_cell", base.runs_per_cell)),
-        k_values=tuple(int(k) for k in d.get("k_values", base.k_values)),
-    )
+def _load(hint: Any, value: Any, path: str) -> Any:
+    """Build a value of type ``hint`` from the JSON value ``value``, checking
+    its type at every level; ``path`` names the value in error messages. A
+    dataclass takes its fields from an object: a missing key takes the
+    field's default, and an unknown key is an error."""
+    if hint in _SCALARS:
+        # a bool is an int to Python but not to a config, and an int a float
+        expected = (int, float) if hint is float else hint
+        if not isinstance(value, expected) or isinstance(value, bool) and hint is not bool:
+            raise ModelError(f"{path} must be {_SCALARS[hint]}, got {value!r}")
+        return hint(value)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # X | None
+        return None if value is None else _load(args[0], value, path)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        for member in hint:
+            if member.value == value:
+                return member
+        names = ", ".join(m.value for m in hint)
+        raise ModelError(f"{path} must be one of {names}, got {value!r}")
+    if origin in (tuple, frozenset):  # tuple[X, ...] or frozenset[X]
+        if not isinstance(value, list):
+            raise ModelError(f"{path} must be a list, got {value!r}")
+        return origin(_load(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if not isinstance(value, dict):
+        raise ModelError(f"{path} must be an object, got {value!r}")
+    if origin is abc.Mapping:
+        return {k: _load(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    prefix = f"{path}." if path else ""
+    hints = _type_hints(hint)
+    for key in value:
+        if key not in hints:
+            raise ModelError(f"unknown key {prefix + key!r}")
+    for f in fields(hint):
+        if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+            raise ModelError(f"{path} needs {f.name!r}")
+    kwargs = {k: _load(hints[k], v, prefix + k) for k, v in value.items()}
+    try:
+        return hint(**kwargs)
+    except ModelError:
+        raise
+    except ValueError as exc:  # say, ipaddress rejecting a static_ip
+        raise ModelError(f"{path}: {exc}") from None
 
 
 def config_from_dict(d: Any) -> HarnessConfig:
-    if not isinstance(d, Mapping):
+    if not isinstance(d, dict):
         raise ModelError(f"a config must be a JSON object, got {type(d).__name__}")
-    models: tuple[ModelConfig, ...] = (ModelConfig(),)
-    if "models" in d:
-        models = tuple(ModelConfig.from_dict(m) for m in d["models"])
-    return HarnessConfig(
-        seed=_int(d, "seed", 42),
-        workers=_int(d, "workers", 1),
-        tool_latency_ms=_int(d, "tool_latency_ms", 1),
-        scenario_a=_scenario_a_from_dict(d.get("scenario_a", {})),
-        scenario_b=_scenario_b_from_dict(d.get("scenario_b", {})),
-        models=models,
-    )
+    return _load(HarnessConfig, d, "")
 
 
 def load_config(path: str | Path | None = None) -> HarnessConfig:
@@ -159,5 +150,8 @@ def load_config(path: str | Path | None = None) -> HarnessConfig:
     file's values."""
     if path is None:
         return HarnessConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    try:
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
+        raise ModelError(f"cannot read config {path}: {exc}") from None
+    return config_from_dict(d)

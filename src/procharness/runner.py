@@ -36,7 +36,7 @@ from .archive import (
     existing_run_ids,
     iter_lines,
 )
-from .classify import classify
+from .classify import classify, reliability
 from .config import HarnessConfig, ModelConfig
 from .metrics import GroupKey, GroupSummary, summarize, summary_csv_lines
 from .model import (
@@ -44,13 +44,16 @@ from .model import (
     Intent,
     ModelError,
     MonotonicClock,
+    ObservedTrace,
     Outcome,
     Procedure,
     TerminatedReason,
+    ToolCallRecord,
     ToolRegistry,
     TraceLevel,
     VirtualClock,
     effective_trace,
+    validate_arguments,
 )
 from .toolsim import (
     ENCAP_TOOL,
@@ -180,6 +183,8 @@ class HarnessEnv:
             self.plans[SCENARIO_B, Approach.A1, k] = RunPlan(
                 intent, context, procedure, None, calls, k
             )
+        for (scenario, approach, _), plan in self.plans.items():
+            self._check_ground_truth(scenario, approach, plan)
 
     def cells(self, scenario: str) -> list[RunCell]:
         """The batch's runs: scenario A by approach, model and repetition,
@@ -201,6 +206,23 @@ class HarnessEnv:
 
     def visible_registry(self, scenario: str, approach: Approach) -> ToolRegistry:
         return self.hosts[_SERVERS[scenario, approach]].registry
+
+    def _check_ground_truth(self, scenario: str, approach: Approach, plan: RunPlan) -> None:
+        """A plan whose fault-free calls would not classify Correct is a
+        config error, not a result: each call must be registered and fit its
+        schema, and together they must match ``expected``. Linear in k, unlike
+        ``classify``."""
+        where = f"scenario {scenario}, approach {approach.value}, k {plan.k}"
+        registry = self.visible_registry(scenario, approach)
+        records = []
+        for i, (name, args) in enumerate(plan.calls, start=1):
+            spec = registry.lookup(name)
+            problems = validate_arguments(spec, args) if spec else ["tool is not registered"]
+            if problems:
+                raise ModelError(f"{where}: fault-free call {i} ({name}): {'; '.join(problems)}")
+            records.append(ToolCallRecord(i, name, args, None, True, 0, 0))
+        if reliability(plan.expected, ObservedTrace(tuple(records))) != 1:
+            raise ModelError(f"{where}: the fault-free calls do not match the expected procedure")
 
 
 def _check_fault_programs(env: HarnessEnv, cells: list[RunCell]) -> None:

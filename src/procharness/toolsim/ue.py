@@ -58,14 +58,6 @@ class UeFixture:
         if self.static_ip is not None:
             ipaddress.ip_address(self.static_ip)
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "UeFixture":
-        return cls(
-            ue_id=d["ue_id"],
-            authorized_session_types=frozenset(d["authorized_session_types"]),
-            static_ip=d.get("static_ip"),
-        )
-
 
 def default_fixtures() -> dict[str, UeFixture]:
     """Shipped subscriber set covering every allocation branch."""

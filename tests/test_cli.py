@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import os
 import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import procharness
 from procharness.archive import load_documents
@@ -168,6 +174,74 @@ def test_fault_that_does_not_fit_fails_before_any_run(tmp_path, capsys):
             "scenario_b.k_values must lie in 1..100, got 101",
             id="k-out-of-range",
         ),
+        pytest.param(
+            {"scenario_a": []}, "scenario_a must be an object, got []", id="section-list"
+        ),
+        pytest.param(
+            {"scenario_a": {"runs_per_cell": 1.7}},
+            "scenario_a.runs_per_cell must be an integer, got 1.7",
+            id="runs-per-cell-float",
+        ),
+        pytest.param(
+            {"scenario_a": {"runs_per_cell": "1"}},
+            "scenario_a.runs_per_cell must be an integer, got '1'",
+            id="runs-per-cell-string",
+        ),
+        pytest.param(
+            {"scenario_a": {"runs_per_cel": 2}},
+            "unknown key 'scenario_a.runs_per_cel'",
+            id="unknown-key",
+        ),
+        pytest.param(
+            {"scenario_a": {"approaches": ["A1", "A5"]}},
+            "scenario_a.approaches[1] must be one of A1, A2, A3, A4, got 'A5'",
+            id="approach-a5",
+        ),
+        pytest.param(
+            {"models": [{"fault": {"kind": "stop_after", "step": "1"}}]},
+            "models[0].fault.step must be an integer, got '1'",
+            id="fault-step-string",
+        ),
+        pytest.param(
+            {
+                "scenario_a": {
+                    "fixtures": [
+                        {
+                            "ue_id": "ue-001",
+                            "authorized_session_types": ["IPv4"],
+                            "static_ip": "bad",
+                        }
+                    ]
+                }
+            },
+            "scenario_a.fixtures[0]: 'bad' does not appear to be an IPv4 or IPv6 address",
+            id="static-ip",
+        ),
+        pytest.param(
+            {"scenario_b": {"k_values": [5.9]}},
+            "scenario_b.k_values[0] must be an integer, got 5.9",
+            id="k-float",
+        ),
+        pytest.param(
+            {
+                "models": [
+                    {
+                        "model_id": "live",
+                        "kind": "openai_chat",
+                        "endpoint": {"base_url": "http://127.0.0.1:9", "temperature": "hot"},
+                    }
+                ]
+            },
+            "models[0].endpoint.temperature must be a number, got 'hot'",
+            id="temperature-string",
+        ),
+        pytest.param(
+            # the ground truth's own first call breaks the tool's schema
+            {"scenario_a": {"request": {"ue_id": "ue-001", "session_type": "IPv5"}}},
+            "scenario A, approach A1, k 1: fault-free call 1 (ue_authorization): "
+            "parameter 'session_type' must be one of ['IPv4', 'IPv6', 'IPv4v6'], got 'IPv5'",
+            id="session-type-ipv5",
+        ),
     ],
 )
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, message):
@@ -177,6 +251,92 @@ def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, message):
     err = capsys.readouterr().err
     assert err.splitlines() == [f"procharness run: {message}"]
     assert not (tmp_path / "runs_a.jsonl").exists()
+
+
+def test_unreadable_config_file_is_one_line_usage_error(tmp_path, capsys):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"seed": 1,', encoding="utf-8")
+    for path in (malformed, tmp_path / "missing.json"):
+        assert _cli("run", "--scenario", "A", "--config", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"procharness run: cannot read config {path}: ")
+    assert not (tmp_path / "runs_a.jsonl").exists()
+
+
+# a small valid config that names every field a mutation should reach
+SMALL_CONFIG = {
+    "seed": 42,
+    "workers": 1,
+    "tool_latency_ms": 1,
+    "models": [
+        {
+            "model_id": "m",
+            "kind": "scripted",
+            "llm_latency_ms": 1,
+            "fault": {"kind": "stop_after", "step": 1, "tool": None, "prob": 0.0, "seed": 0},
+        }
+    ],
+    "scenario_a": {
+        "runs_per_cell": 1,
+        "approaches": ["A1", "A2", "A3", "A4"],
+        "request": {"ue_id": "ue-001", "session_type": "IPv4"},
+        "fixtures": [
+            {"ue_id": "ue-001", "authorized_session_types": ["IPv4"], "static_ip": "10.0.0.42"}
+        ],
+        "repository_text": None,
+    },
+    "scenario_b": {"runs_per_cell": 1, "k_values": [5], "approaches": ["A1"]},
+}
+# wrong types, unknown enum values and out-of-range integers
+REPLACEMENTS = ("x", 1.5, True, None, [], {}, 0, -1, 101)
+
+
+def _slots(node, path=()):
+    """Every (path of the container, key in it) of a config."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value, (*path, key))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mutated_config_runs_or_fails_in_one_line(data):
+    config = copy.deepcopy(SMALL_CONFIG)
+    action = data.draw(st.sampled_from(["drop", "unknown key", "replace"]))
+    slots = list(_slots(config))
+    if action == "unknown key":
+        objects = [()] + [(*p, k) for p, k in slots if isinstance(_at(config, (*p, k)), dict)]
+        _at(config, data.draw(st.sampled_from(objects)))["bogus"] = 1
+    else:
+        path, key = data.draw(st.sampled_from(slots))
+        parent = _at(config, path)
+        if action == "drop":
+            del parent[key]
+        else:
+            value = data.draw(st.sampled_from(REPLACEMENTS))
+            # 101 is a valid count here, and a large one
+            assume(not (value == 101 and key in ("runs_per_cell", "workers")))
+            parent[key] = value
+    scenario = data.draw(st.sampled_from(["A", "B"]))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--scenario", scenario, "--config", str(path), "--out", tmp])
+        if code != 0:
+            assert code == 1
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert not (Path(tmp) / f"runs_{scenario.lower()}.jsonl").exists()
 
 
 def test_classify_skips_corrupt_lines(tmp_path, small_config, capsys):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procharness import prompts, runner
-from procharness.agent import Approach, FaultProgram, RemoteEndpointConfig
+from procharness.agent import Approach, RemoteEndpointConfig
 from procharness.archive import load_documents
 from procharness.classify import classify
 from procharness.config import (
@@ -23,6 +23,7 @@ from procharness.config import (
     ModelConfig,
     ScenarioAConfig,
     ScenarioBConfig,
+    config_from_dict,
 )
 from procharness.model import Outcome, TerminatedReason, TraceLevel, effective_trace
 from procharness.runner import (
@@ -68,7 +69,7 @@ def test_batch_over_real_sockets(tmp_path):
 
 
 def _fault_model(model_id, **fault):
-    return ModelConfig(model_id=model_id, fault=FaultProgram.from_dict(fault))
+    return config_from_dict({"models": [{"model_id": model_id, "fault": fault}]}).models[0]
 
 
 def test_http_batch_matches_loopback_with_one_connection_per_run(

@@ -242,6 +242,12 @@ def test_fault_that_does_not_fit_fails_before_any_run(tmp_path, capsys):
             "parameter 'session_type' must be one of ['IPv4', 'IPv6', 'IPv4v6'], got 'IPv5'",
             id="session-type-ipv5",
         ),
+        pytest.param({"models": []}, "scenario A has no runs to do", id="no-models"),
+        pytest.param(
+            {"scenario_a": {"approaches": []}},
+            "scenario A has no runs to do",
+            id="no-approaches",
+        ),
     ],
 )
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, message):
@@ -251,6 +257,16 @@ def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, message):
     err = capsys.readouterr().err
     assert err.splitlines() == [f"procharness run: {message}"]
     assert not (tmp_path / "runs_a.jsonl").exists()
+
+
+def test_scenario_b_without_k_values_is_one_line_usage_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario_b": {"k_values": []}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert _cli("run", "--scenario", "B", "--config", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["procharness run: scenario B has no runs to do"]
+    assert not out.exists()
 
 
 def test_unreadable_config_file_is_one_line_usage_error(tmp_path, capsys):

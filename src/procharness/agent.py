@@ -168,7 +168,8 @@ class ScriptedBackend:
     """Deterministic stand-in model that replays a prepared playbook.
 
     Advances the injected clock by ``llm_latency_ms`` per reasoning turn so
-    simulated latency accounting is exact.
+    simulated latency accounting is exact. It reads neither the messages
+    nor the tools, so each playbook turn is returned as it is.
     """
 
     def __init__(
@@ -191,19 +192,8 @@ class ScriptedBackend:
         if self._cursor < len(self._turns):
             turn = self._turns[self._cursor]
             self._cursor += 1
-        else:
-            turn = AssistantTurn(text=prompts.FINAL_SUMMARY_TEXT)
-        raw: dict[str, Any] = {"role": "assistant", "content": turn.text}
-        if turn.tool_calls:
-            raw["tool_calls"] = [
-                {
-                    "id": c.call_id,
-                    "type": "function",
-                    "function": {"name": c.name, "arguments": json.dumps(c.arguments)},
-                }
-                for c in turn.tool_calls
-            ]
-        return AssistantTurn(turn.tool_calls, turn.text, raw)
+            return turn
+        return AssistantTurn(text=prompts.FINAL_SUMMARY_TEXT)
 
 
 # ---------------------------------------------------------------------------

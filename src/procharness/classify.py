@@ -51,18 +51,17 @@ def validate_call(
     in that order of severity.
     """
     spec = registry.lookup(call.tool_name)
+    steps = expected.steps_by_tool.get(call.tool_name)
     if spec is None:
         kind = WrongToolKind.WRONG_TOOL_NAME
         detail = f"tool {call.tool_name!r} is not registered on any visible server"
-    elif call.tool_name not in expected.tool_names:
+    elif steps is None:
         kind = WrongToolKind.TOOL_OUTSIDE_PROCEDURE
         detail = f"tool {call.tool_name!r} is not part of the expected procedure"
     elif schema_problems := validate_arguments(spec, call.arguments):
         kind = WrongToolKind.WRONG_PARAMETERS
         detail = "; ".join(schema_problems)
-    elif not any(
-        s.satisfied_by(call.arguments) for s in expected.steps if s.tool_name == call.tool_name
-    ):
+    elif not any(s.satisfied_by(call.arguments) for s in steps):
         kind = WrongToolKind.WRONG_PARAMETERS
         detail = (
             f"arguments {dict(call.arguments)!r} do not satisfy any expected "

@@ -8,6 +8,7 @@ injectable clock so simulated runs are exactly reproducible.
 from __future__ import annotations
 
 import functools
+import hashlib
 import re
 import time
 from collections import abc
@@ -355,9 +356,18 @@ class Procedure(Jsonable):
     def length(self) -> int:
         return len(self.steps)
 
-    @property
+    @functools.cached_property
     def tool_names(self) -> tuple[str, ...]:
         return tuple(s.tool_name for s in self.steps)
+
+    @functools.cached_property
+    def steps_by_tool(self) -> dict[str, tuple[ExpectedStep, ...]]:
+        """Tool name -> its steps in procedure order. Computed once, and not
+        a field, so it is not part of the JSON, equality or hash."""
+        by_tool: dict[str, tuple[ExpectedStep, ...]] = {}
+        for step in self.steps:
+            by_tool[step.tool_name] = by_tool.get(step.tool_name, ()) + (step,)
+        return by_tool
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +518,14 @@ def effective_trace(
 
 
 # ---------------------------------------------------------------------------
-# Clocks
+# Clocks and seeds
+
+
+def stable_seed(*parts: Any) -> int:
+    """A 64-bit integer from the SHA-256 digest of the parts joined by ':',
+    the same in every process and on every platform."""
+    digest = hashlib.sha256(":".join(str(p) for p in parts).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 class MonotonicClock:

@@ -1,9 +1,11 @@
-"""Small-instance reference classifier.
+"""Reference classifier (oracle).
 
 A deliberately naive re-derivation of the error-class definitions, used to
 cross-check the production classifier. Each class is evaluated as its own
 predicate straight from its definition, then a fixed precedence order picks
-the verdict. Shares no helpers with :mod:`procharness.classify`.
+the verdict. No predicate costs more than one pass over the procedure per
+call, so procedures and traces of any length are accepted. Shares no
+helpers with :mod:`procharness.classify`.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ from .model import (
     Verdict,
     WrongToolKind,
 )
-
-MAX_EXPECTED_LEN = 6
-MAX_OBSERVED_LEN = 8
-
 
 def _value_has_kind(value: object, kind: ValueKind) -> bool:
     if kind is ValueKind.INTEGER:
@@ -79,16 +77,8 @@ def _call_flaw(
 def reference_classify(
     expected: Procedure, observed: ObservedTrace, registry: ToolRegistry
 ) -> Verdict:
-    """Brute-force verdict for small procedures and traces.
-
-    Raises ``ValueError`` beyond the small-instance bounds (expected length
-    over 6 or observed length over 8).
-    """
-    if expected.length > MAX_EXPECTED_LEN:
-        raise ValueError(f"expected procedure longer than {MAX_EXPECTED_LEN} steps")
-    if observed.length > MAX_OBSERVED_LEN:
-        raise ValueError(f"observed trace longer than {MAX_OBSERVED_LEN} calls")
-
+    """Verdict from the error-class definitions, at any length; the
+    ``WrongTool`` subclass and offending step are set, details are not."""
     calls = list(observed.records)
     steps = list(expected.steps)
     p_names = [s.tool_name for s in steps]
@@ -106,16 +96,15 @@ def reference_classify(
             flaw_at = call.step_index
             break
 
-    duplicate = any(
-        Counter(o_names)[name] > Counter(p_names)[name] for name in set(p_names)
-    )
+    o_counts, p_counts = Counter(o_names), Counter(p_names)
+    duplicate = any(o_counts[name] > p_counts[name] for name in p_counts)
 
     proper_prefix = len(calls) < len(steps) and all(
         c.tool_name == s.tool_name and _args_fit_step(s, c.arguments)
         for c, s in zip(calls, steps)
     )
 
-    same_multiset = Counter(o_names) == Counter(p_names)
+    same_multiset = o_counts == p_counts
     wrong_order = same_multiset and o_names != p_names
 
     exact = (

@@ -7,7 +7,6 @@ pipeline is deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import sys
@@ -36,7 +35,7 @@ from .archive import (
     existing_run_ids,
     iter_lines,
 )
-from .classify import classify, reliability
+from .classify import classify
 from .config import HarnessConfig, ModelConfig
 from .metrics import GroupKey, GroupSummary, summarize, summary_csv_lines
 from .model import (
@@ -53,7 +52,7 @@ from .model import (
     TraceLevel,
     VirtualClock,
     effective_trace,
-    validate_arguments,
+    stable_seed,
 )
 from .toolsim import (
     ENCAP_TOOL,
@@ -83,11 +82,6 @@ _SERVERS: Mapping[tuple[str, Approach], int] = {
     (SCENARIO_A, Approach.A4): ENCAPSULATED_SERVER_ID,
     (SCENARIO_B, Approach.A1): KPI_SERVER_ID,
 }
-
-
-def _stable_seed(*parts: Any) -> int:
-    digest = hashlib.sha256(":".join(str(p) for p in parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 @dataclass(frozen=True)
@@ -209,19 +203,21 @@ class HarnessEnv:
 
     def _check_ground_truth(self, scenario: str, approach: Approach, plan: RunPlan) -> None:
         """A plan whose fault-free calls would not classify Correct is a
-        config error, not a result: each call must be registered and fit its
-        schema, and together they must match ``expected``. Linear in k, unlike
-        ``classify``."""
+        config error, not a result. ``classify`` judges them against
+        ``expected`` on the visible server, as it judges every run; a
+        ``WrongTool`` verdict names the first call at fault."""
         where = f"scenario {scenario}, approach {approach.value}, k {plan.k}"
+        records = tuple(
+            ToolCallRecord(i, name, args, None, True, 0, 0)
+            for i, (name, args) in enumerate(plan.calls, start=1)
+        )
         registry = self.visible_registry(scenario, approach)
-        records = []
-        for i, (name, args) in enumerate(plan.calls, start=1):
-            spec = registry.lookup(name)
-            problems = validate_arguments(spec, args) if spec else ["tool is not registered"]
-            if problems:
-                raise ModelError(f"{where}: fault-free call {i} ({name}): {'; '.join(problems)}")
-            records.append(ToolCallRecord(i, name, args, None, True, 0, 0))
-        if reliability(plan.expected, ObservedTrace(tuple(records))) != 1:
+        verdict = classify(plan.expected, ObservedTrace(records), registry)
+        if verdict.outcome is Outcome.WRONG_TOOL:
+            i = verdict.offending_step
+            name = plan.calls[i - 1][0]
+            raise ModelError(f"{where}: fault-free call {i} ({name}): {verdict.detail}")
+        if verdict.outcome is not Outcome.CORRECT:
             raise ModelError(f"{where}: the fault-free calls do not match the expected procedure")
 
 
@@ -246,7 +242,7 @@ def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
     scripted = cell.model.kind == "scripted"
     clock = VirtualClock() if scripted else MonotonicClock()
     if scripted:
-        rng = random.Random(_stable_seed(cell.model.fault.seed, cell.run_id))
+        rng = random.Random(stable_seed(cell.model.fault.seed, cell.run_id))
         playbook = build_playbook(cell.approach, plan.calls, cell.model.fault, rng)
         backend = ScriptedBackend(
             playbook, clock, cell.model.llm_latency_ms, cell.model.model_id
@@ -292,10 +288,13 @@ def run_batch(
     progress: Callable[[str], None] | None = None,
 ) -> BatchStats:
     """Execute every cell, appending one document per run; cells already in
-    the archive are skipped so interrupted batches can resume. A fault
-    program that does not fit raises ``ModelError`` before any run."""
+    the archive are skipped so interrupted batches can resume. A batch with
+    no cells, or a fault program that does not fit, raises ``ModelError``
+    before any run."""
     env = HarnessEnv(config, server_urls)
     cells = env.cells(scenario)
+    if not cells:
+        raise ModelError(f"scenario {scenario} has no runs to do")
     drop_torn_tail(archive_path)
     done = existing_run_ids(archive_path)
     stats = BatchStats(skipped=sum(1 for c in cells if c.run_id in done))

@@ -9,7 +9,6 @@ definition.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -22,6 +21,7 @@ from ..model import (
     ParamSpec,
     Procedure,
     ToolSpec,
+    stable_seed,
 )
 from .host import CallContext, ToolResult
 
@@ -99,11 +99,6 @@ _UNIT_RULES = (
 _DEFAULT_RULE = ("index", 0.0, 30.0, True)
 
 
-def _u01(*parts: Any) -> float:
-    digest = hashlib.sha256(":".join(str(p) for p in parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
-
-
 def _unit_rule(name: str) -> tuple[str, float, float, bool]:
     for substrings, unit, lo, hi, high_is_bad in _UNIT_RULES:
         if any(s in name for s in substrings):
@@ -153,7 +148,7 @@ def build_kpi_pool(seed: int) -> KpiToolPool:
     tools = []
     for name in KPI_TOOL_NAMES:
         unit, lo, hi, high_is_bad = _unit_rule(name)
-        u = _u01(seed, name, "threshold")
+        u = stable_seed(seed, name, "threshold") / 2**64
         if high_is_bad:
             threshold = lo + (0.70 + 0.25 * u) * (hi - lo)
         else:
@@ -179,7 +174,8 @@ def kpi_value(pool: KpiToolPool, tool_name: str, region: str) -> float:
     tool = pool.get(tool_name)
     if tool is None:
         raise KeyError(tool_name)
-    return round(tool.lo + _u01(pool.seed, tool_name, region) * (tool.hi - tool.lo), 3)
+    u = stable_seed(pool.seed, tool_name, region) / 2**64
+    return round(tool.lo + u * (tool.hi - tool.lo), 3)
 
 
 def kpi_query(pool: KpiToolPool, tool_name: str, region: str) -> dict[str, Any]:
@@ -218,11 +214,6 @@ def make_kpi_handlers(pool: KpiToolPool) -> dict[str, Any]:
 # Stress procedure generation
 
 
-def _derived_rng(seed: int, label: str) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
 def gen_stress_procedure(
     pool: KpiToolPool, k: int, seed: int
 ) -> tuple[Intent, Procedure]:
@@ -233,7 +224,7 @@ def gen_stress_procedure(
     """
     if k < 1 or k > POOL_SIZE:
         raise ValueError(f"procedure length {k} out of range 1..{POOL_SIZE}")
-    rng = _derived_rng(seed, f"stress:{k}")
+    rng = random.Random(stable_seed(seed, "stress", k))
     tools = rng.sample(list(pool.names), k)
     region = f"region-{rng.randrange(1, 17)}"
     intent = Intent(

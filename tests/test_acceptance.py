@@ -326,6 +326,14 @@ def test_criterion_7_stress_protocol(tmp_path):
                     error_mix[d.verdict_agent.outcome] += 1
         rates = [correctness_by_k[k] for k in lengths]
         assert all(a > b for a, b in zip(rates, rates[1:])), correctness_by_k
+
+        # the independent oracle agrees on all 360 stress verdicts
+        registry = HarnessEnv(config).visible_registry(SCENARIO_B, Approach.A1)
+        for d in docs + faulty_docs:
+            trace = effective_trace(d.run, TraceLevel.AGENT, registry)
+            oracle = reference_classify(d.expected, trace, registry)
+            assert oracle.outcome is d.verdict_agent.outcome, d.run.run_id
+            assert oracle.wrong_tool_subclass == d.verdict_agent.wrong_tool_subclass
         premature = error_mix[Outcome.PREMATURE_STOP]
         assert premature > 0
         assert all(

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CANONICAL_ARGS, make_trace
+from procharness.agent import FaultKind, FaultProgram, apply_fault
 from procharness.classify import classify, reliability, validate_call
 from procharness.model import (
     ExpectedStep,
+    ObservedTrace,
     Outcome,
     Procedure,
     ToolCallRecord,
     WrongToolKind,
 )
 from procharness.reference import reference_classify
+from procharness.toolsim import build_kpi_host, build_kpi_pool, gen_stress_procedure
 
 AUTH = "ue_authorization"
 STATIC = "static_ip_retrieval"
@@ -237,14 +242,84 @@ def test_premature_stop_implies_proper_prefix(
             assert step.satisfied_by(call.arguments)
 
 
-def test_reference_oracle_rejects_big_instances(scenario_a_registry):
-    p = Procedure("p", "i", tuple(ExpectedStep(AUTH, {}) for _ in range(7)))
-    with pytest.raises(ValueError):
-        reference_classify(p, make_trace(()), scenario_a_registry)
-    trace = make_trace((AUTH,) * 9)
-    small = Procedure("p", "i", (ExpectedStep(AUTH, {}),))
-    with pytest.raises(ValueError):
-        reference_classify(small, trace, scenario_a_registry)
+@functools.lru_cache(maxsize=None)
+def _kpi_setup(seed):
+    pool = build_kpi_pool(seed)
+    return pool, build_kpi_host(pool).registry
+
+
+def _edit(draw, calls, pool_names, procedure_names):
+    """One random edit of a call list, in place."""
+    action = draw(
+        st.sampled_from(
+            ["swap", "drop", "duplicate", "rename", "outside", "region", "no region"]
+        )
+    )
+    if not calls:
+        return
+    i = draw(st.integers(0, len(calls) - 1))
+    name, args = calls[i]
+    if action == "swap":
+        j = draw(st.integers(0, len(calls) - 1))
+        calls[i], calls[j] = calls[j], calls[i]
+    elif action == "drop":
+        del calls[i]
+    elif action == "duplicate":
+        calls.insert(draw(st.integers(0, len(calls))), (name, dict(args)))
+    elif action == "rename":
+        calls[i] = (f"{name}_v2", args)
+    elif action == "outside":
+        outside = sorted(set(pool_names) - set(procedure_names)) or [UNKNOWN]
+        calls[i] = (draw(st.sampled_from(outside)), args)
+    elif action == "region":
+        calls[i] = (name, {"region": draw(st.sampled_from(["region-0", "region-17", 3]))})
+    else:
+        calls[i] = (name, {})
+
+
+@st.composite
+def stress_cases(draw):
+    """A stress procedure of k 1..100 from the real pool, the KPI host's
+    registry, and a trace of its fault-free calls edited by one fault
+    program and by random swaps, drops, duplicates, renames, outside tools
+    and wrong or missing regions."""
+    pool, registry = _kpi_setup(draw(st.integers(0, 3)))
+    k = draw(st.integers(1, 100))
+    intent, procedure = gen_stress_procedure(pool, k, draw(st.integers(0, 1000)))
+    region = intent.structured["region"]
+    calls = [(name, {"region": region}) for name in intent.structured["required_kpis"]]
+    fault = FaultProgram(
+        draw(st.sampled_from(list(FaultKind))),
+        step=draw(st.integers(1, k)),
+        tool=draw(st.sampled_from(pool.names)),
+        prob=draw(st.sampled_from([0.0, 0.02, 0.2])),
+        seed=draw(st.integers(0, 100)),
+    )
+    try:
+        calls = apply_fault(calls, fault)
+    except ValueError:
+        pass  # the program does not fit these calls; keep them as they are
+    for _ in range(draw(st.integers(0, 3))):
+        _edit(draw, calls, pool.names, procedure.tool_names)
+    trace = ObservedTrace(
+        tuple(
+            ToolCallRecord(i, name, args, None, True, i, i)
+            for i, (name, args) in enumerate(calls, start=1)
+        )
+    )
+    return procedure, trace, registry
+
+
+@settings(max_examples=300, deadline=None)
+@given(stress_cases())
+def test_classify_matches_reference_oracle_at_every_length(case):
+    procedure, trace, registry = case
+    got = classify(procedure, trace, registry)
+    want = reference_classify(procedure, trace, registry)
+    assert got.outcome is want.outcome
+    assert got.wrong_tool_subclass == want.wrong_tool_subclass
+    if got.outcome is Outcome.WRONG_TOOL:
+        assert got.offending_step == want.offending_step
 
 
 def test_reference_oracle_trivial_cases(scenario_a_registry):

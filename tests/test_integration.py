@@ -250,6 +250,43 @@ def test_run_plans_are_built_once_per_batch(tmp_path, monkeypatch):
         "allocation_plan": 1,
         "build_context": n_plans,
     }
+    # classify judges each line against the ground truth the line carries
+    counts.clear()
+    classify_archive(config, tmp_path / "runs_a.jsonl", tmp_path / "classified.jsonl")
+    assert not counts
+
+
+def test_classify_reads_no_run_plan(tmp_path):
+    """A request that fails the ground-truth check stops ``run``, but
+    ``classify`` reads no plan, so it judges an archive the same under it."""
+    archive = tmp_path / "runs_a.jsonl"
+    run_batch(HarnessConfig(), SCENARIO_A, archive)
+    ipv5 = ScenarioAConfig(request={"ue_id": "ue-001", "session_type": "IPv5"})
+    default_out, ipv5_out = tmp_path / "default.jsonl", tmp_path / "ipv5.jsonl"
+    classify_archive(HarnessConfig(), archive, default_out)
+    classify_archive(HarnessConfig(scenario_a=ipv5), archive, ipv5_out)
+    assert ipv5_out.read_bytes() == default_out.read_bytes()
+
+
+def test_classify_writes_back_the_line_it_read(tmp_path):
+    """A line the harness did not write keeps its keys: a missing default
+    stays absent and an unknown key is kept; only the verdicts are set."""
+    archive = tmp_path / "runs_a.jsonl"
+    run_batch(_small_config(), SCENARIO_A, archive)
+    line = json.loads(archive.read_text(encoding="utf-8").splitlines()[0])
+    for record in line["trace"]["records"]:
+        del record["origin"]
+    line["note"] = "kept"
+    archive.write_text(json.dumps(line, sort_keys=True) + "\n", encoding="utf-8")
+    out = tmp_path / "classified.jsonl"
+    assert classify_archive(HarnessConfig(), archive, out) == (1, 0)
+    classified = json.loads(out.read_text(encoding="utf-8"))
+    assert classified["verdict_agent"]["outcome"] == Outcome.CORRECT.value
+    assert classified == {
+        **line,
+        "verdict_agent": classified["verdict_agent"],
+        "verdict_flattened": None,
+    }
 
 
 def test_worker_pool_preserves_results(tmp_path):

@@ -188,6 +188,62 @@ def test_unknown_tool_names_survive_trace_projection(mixed_registry):
     assert agent.tool_names == ("made_up_tool",)
 
 
+_INTERNAL = CallOrigin.TOOL_INTERNAL
+
+
+@pytest.mark.parametrize(
+    "calls, agent_names, flat_names",
+    [
+        pytest.param(
+            [("ue_authorization", _INTERNAL), ("ip_assignment", None)],
+            ("ip_assignment",),
+            ("ip_assignment",),
+            id="internal-before-any-agent-call",
+        ),
+        pytest.param(
+            [("get_procedures", None), ("ue_authorization", _INTERNAL), ("ip_assignment", None)],
+            ("ip_assignment",),
+            ("ip_assignment",),
+            id="internal-after-meta-call",
+        ),
+        pytest.param(
+            [("static_ip_retrieval", None), ("ue_authorization", _INTERNAL)],
+            ("static_ip_retrieval",),
+            ("static_ip_retrieval",),
+            id="internal-after-procedure-call",
+        ),
+        pytest.param(
+            [("made_up_tool", None), ("ue_authorization", _INTERNAL)],
+            ("made_up_tool",),
+            ("made_up_tool",),
+            id="internal-after-unknown-name",
+        ),
+        pytest.param(
+            [
+                ("ue_ip_allocation", None),
+                ("ue_authorization", _INTERNAL),
+                ("static_ip_retrieval", _INTERNAL),
+                ("ue_ip_allocation", None),
+                ("dhcpv4_allocate", _INTERNAL),
+                ("ip_assignment", _INTERNAL),
+            ],
+            ("ue_ip_allocation", "ue_ip_allocation"),
+            ("ue_authorization", "static_ip_retrieval", "dhcpv4_allocate", "ip_assignment"),
+            id="duplicated-encapsulated-call",
+        ),
+    ],
+)
+def test_effective_trace_places_internal_records(mixed_registry, calls, agent_names, flat_names):
+    """Internal records count only under the encapsulated call they follow,
+    and only in the flattened view."""
+    run = _a4_style_run(
+        _record(i, name, origin or CallOrigin.AGENT_ISSUED)
+        for i, (name, origin) in enumerate(calls, start=1)
+    )
+    assert effective_trace(run, TraceLevel.AGENT, mixed_registry).tool_names == agent_names
+    assert effective_trace(run, TraceLevel.FLATTENED, mixed_registry).tool_names == flat_names
+
+
 def test_finished_run_needs_llm_step():
     with pytest.raises(ModelError):
         RunRecord(

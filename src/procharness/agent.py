@@ -405,38 +405,28 @@ def run_agent(
     transport: Any,
     clock: Any,
     limits: RunLimits,
-    session_id: str,
     run_id: str,
 ) -> RunRecord:
     """Standard tool-calling loop: model turn, execute requested calls in
     emission order, feed results back, stop on a text-only turn or the
     turn cap. Failed tool calls are returned to the model as error results
-    rather than aborting the run."""
+    rather than aborting the run; a failed tool discovery ends the run
+    before its first turn. The run id is the tool session id."""
     messages: list[dict[str, Any]] = [
         {"role": "system", "content": context.system_prompt},
         {"role": "user", "content": context.user_prompt},
     ]
-
-    try:
-        descriptors = transport.list_tools(context.server_id)
-    except Exception:
-        return RunRecord(
-            run_id=run_id,
-            approach=context.approach,
-            model_id=backend.model_id,
-            intent=intent,
-            trace=ObservedTrace(),
-            llm_steps=(),
-            final_text="",
-            terminated_reason=TerminatedReason.BACKEND_ERROR,
-        )
-
     records: list[ToolCallRecord] = []
     llm_steps: list[tuple[int, int]] = []
     final_text = ""
     reason = TerminatedReason.TURN_CAP_HIT
+    max_turns = limits.max_turns
+    try:
+        descriptors = transport.list_tools(context.server_id)
+    except Exception:
+        reason, max_turns = TerminatedReason.BACKEND_ERROR, 0
 
-    for _ in range(limits.max_turns):
+    for _ in range(max_turns):
         started = clock.now_ms()
         try:
             turn = backend.step(messages, descriptors)
@@ -456,7 +446,7 @@ def run_agent(
         for request in turn.tool_calls:
             # unknown names still go out on the wire so the attempt is traced
             call = transport.call_tool(
-                context.server_id, request.name, request.arguments, session_id
+                context.server_id, request.name, request.arguments, run_id
             )
             records.extend(call)
             messages.append(

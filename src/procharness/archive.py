@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
@@ -28,13 +28,6 @@ class RunDocument(Jsonable):
     expected_flattened: Procedure | None = None
     verdict_agent: Verdict | None = None
     verdict_flattened: Verdict | None = None
-
-    def with_verdicts(
-        self, verdict_agent: Verdict, verdict_flattened: Verdict | None = None
-    ) -> "RunDocument":
-        return replace(
-            self, verdict_agent=verdict_agent, verdict_flattened=verdict_flattened
-        )
 
 
 def append_document(path: Path, doc: RunDocument) -> None:

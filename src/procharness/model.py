@@ -489,30 +489,23 @@ def effective_trace(
     (unknown names are kept; they are agent behavior). ``flattened``
     additionally replaces each encapsulated-tool call with its recorded
     internal sub-calls, in order.
-    """
-    records = run.trace.records
-    internals_by_parent: dict[int, list[ToolCallRecord]] = {}
-    parent_idx: int | None = None
-    for rec in records:
-        if rec.origin is CallOrigin.AGENT_ISSUED:
-            parent_idx = rec.step_index
-        elif parent_idx is not None:
-            internals_by_parent.setdefault(parent_idx, []).append(rec)
 
+    One pass suffices: the transport returns a call's internal records
+    right after it, and step indices increase, so an internal record
+    belongs to the last agent-issued call before it. Internal records with
+    no such call, or after any call that is not being flattened, are out.
+    """
     out: list[ToolCallRecord] = []
-    for rec in records:
+    flattening = False  # the last agent-issued call is encapsulated, at FLATTENED
+    for rec in run.trace.records:
         if rec.origin is not CallOrigin.AGENT_ISSUED:
+            if flattening:
+                out.append(rec)
             continue
         spec = registry.lookup(rec.tool_name)
-        if spec is not None and spec.scope is ToolScope.META:
-            continue
-        if (
-            level is TraceLevel.FLATTENED
-            and spec is not None
-            and spec.scope is ToolScope.ENCAPSULATED
-        ):
-            out.extend(internals_by_parent.get(rec.step_index, []))
-        else:
+        scope = spec.scope if spec is not None else None
+        flattening = level is TraceLevel.FLATTENED and scope is ToolScope.ENCAPSULATED
+        if scope is not ToolScope.META and not flattening:
             out.append(rec)
     return ObservedTrace(records=tuple(out))
 

@@ -7,6 +7,7 @@ pipeline is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import sys
@@ -115,21 +116,23 @@ class RunPlan:
 
 
 class HarnessEnv:
-    """Shared per-batch state: the tool hosts, and in ``plans`` one run
-    plan per (scenario, approach, k)."""
+    """Shared per-batch state: the tool hosts and the registries they
+    expose. The run plans are built on the first read of ``plans``, so a
+    stage that runs nothing, such as ``classify`` or ``serve``, builds and
+    checks none."""
 
     def __init__(
         self, config: HarnessConfig, server_urls: Mapping[int, str] | None = None
     ) -> None:
         self.config = config
-        fixtures = {f.ue_id: f for f in config.scenario_a.fixtures}
+        self.fixtures = {f.ue_id: f for f in config.scenario_a.fixtures}
         repo = config.scenario_a.repository_text
-        repository_text = repo if repo is not None else prompts.UE_PROCEDURE_SET_TEXT
-        pool = build_kpi_pool(config.seed)
+        self.repository_text = repo if repo is not None else prompts.UE_PROCEDURE_SET_TEXT
+        self.pool = build_kpi_pool(config.seed)
         self.hosts = {
-            ENCAPSULATED_SERVER_ID: build_encapsulated_host(fixtures),
-            PROCEDURE_SERVER_ID: build_procedure_host(fixtures, repository_text),
-            KPI_SERVER_ID: build_kpi_host(pool),
+            ENCAPSULATED_SERVER_ID: build_encapsulated_host(self.fixtures),
+            PROCEDURE_SERVER_ID: build_procedure_host(self.fixtures, self.repository_text),
+            KPI_SERVER_ID: build_kpi_host(self.pool),
         }
         self.server_urls = dict(server_urls) if server_urls else None
         # what classify_archive checks an A4 run's internal calls against
@@ -138,7 +141,13 @@ class HarnessEnv:
             + list(self.hosts[PROCEDURE_SERVER_ID].registry)
         )
 
-        self.plans: dict[tuple[str, Approach, int], RunPlan] = {}
+    @functools.cached_property
+    def plans(self) -> dict[tuple[str, Approach, int], RunPlan]:
+        """One run plan per (scenario, approach, k) of the config, each
+        checked against its ground truth; a plan that fails raises
+        ``ModelError``."""
+        plans: dict[tuple[str, Approach, int], RunPlan] = {}
+        config, fixtures = self.config, self.fixtures
         request = config.scenario_a.request
         ue_id, session_type = request["ue_id"], request["session_type"]
         intent = make_allocation_intent(ue_id, session_type)
@@ -151,11 +160,11 @@ class HarnessEnv:
             context = build_context(
                 approach,
                 intent,
-                repository_text,
+                self.repository_text,
                 _SERVERS[SCENARIO_A, approach],
                 explicit_procedure=step_level,
             )
-            self.plans[SCENARIO_A, approach, step_level.length] = RunPlan(
+            plans[SCENARIO_A, approach, step_level.length] = RunPlan(
                 intent,
                 context,
                 expected=encapsulated if a4 else step_level,
@@ -164,7 +173,7 @@ class HarnessEnv:
                 k=step_level.length,
             )
         for k in config.scenario_b.k_values:
-            intent, procedure = gen_stress_procedure(pool, k, config.seed)
+            intent, procedure = gen_stress_procedure(self.pool, k, config.seed)
             context = build_context(
                 Approach.A1,
                 intent,
@@ -174,11 +183,12 @@ class HarnessEnv:
             region = intent.structured["region"]
             kpis = intent.structured["required_kpis"]
             calls = tuple((name, {"region": region}) for name in kpis)
-            self.plans[SCENARIO_B, Approach.A1, k] = RunPlan(
+            plans[SCENARIO_B, Approach.A1, k] = RunPlan(
                 intent, context, procedure, None, calls, k
             )
-        for (scenario, approach, _), plan in self.plans.items():
+        for (scenario, approach, _), plan in plans.items():
             self._check_ground_truth(scenario, approach, plan)
+        return plans
 
     def cells(self, scenario: str) -> list[RunCell]:
         """The batch's runs: scenario A by approach, model and repetition,
@@ -259,7 +269,6 @@ def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
             transport,
             clock,
             RunLimits(default_turn_cap(plan.k)),
-            session_id=cell.run_id,
             run_id=cell.run_id,
         )
     finally:
@@ -321,8 +330,10 @@ def classify_archive(
     out_path: Path,
     errlog: Callable[[str], None] | None = None,
 ) -> tuple[int, int]:
-    """Annotate every document with verdicts; corrupt lines are reported
-    with their line number and skipped. Returns (classified, corrupt)."""
+    """Write every line back as it was read, with its two verdict keys set;
+    the verdicts judge the line's own ground truth, so no run plan is
+    read. Corrupt lines are reported with their line number and skipped.
+    Returns (classified, corrupt)."""
     env = HarnessEnv(config)
     classified = 0
     corrupt = 0
@@ -330,23 +341,22 @@ def classify_archive(
     with open(out_path, "w", encoding="utf-8") as out:
         for lineno, line in iter_lines(in_path):
             try:
-                doc = RunDocument.from_dict(json.loads(line))
+                data = json.loads(line)
+                doc = RunDocument.from_dict(data)
             except Exception as exc:
                 corrupt += 1
                 log(f"{in_path}:{lineno}: skipping corrupt record ({exc})")
                 continue
             registry = env.visible_registry(doc.scenario, doc.run.approach)
             agent_view = effective_trace(doc.run, TraceLevel.AGENT, registry)
-            verdict_agent = classify(doc.expected, agent_view, registry)
-            verdict_flattened = None
+            data["verdict_agent"] = classify(doc.expected, agent_view, registry).to_dict()
+            data["verdict_flattened"] = None
             if doc.expected_flattened is not None:
                 flat_registry = env.flattened_registry
                 flat_view = effective_trace(doc.run, TraceLevel.FLATTENED, flat_registry)
-                verdict_flattened = classify(
-                    doc.expected_flattened, flat_view, flat_registry
-                )
-            annotated = doc.with_verdicts(verdict_agent, verdict_flattened)
-            out.write(json.dumps(annotated.to_dict(), sort_keys=True) + "\n")
+                verdict = classify(doc.expected_flattened, flat_view, flat_registry)
+                data["verdict_flattened"] = verdict.to_dict()
+            out.write(json.dumps(data, sort_keys=True) + "\n")
             classified += 1
     return classified, corrupt
 

@@ -8,6 +8,7 @@ append-only within a run.
 from __future__ import annotations
 
 import ipaddress
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -24,7 +25,7 @@ from ..model import (
     ToolSpec,
     ValueKind,
 )
-from .host import CallContext, ToolResult
+from .host import CallContext, Handler, ToolResult
 
 SESSION_TYPES = ("IPv4", "IPv6", "IPv4v6")
 
@@ -87,10 +88,9 @@ class RegistryState:
 
 @dataclass
 class UeSessionState:
-    """Mutable per-run tool state: DHCP cursors plus the registry."""
+    """Mutable per-run tool state: DHCP leases per family plus the registry."""
 
-    dhcpv4_allocated: int = 0
-    dhcpv6_allocated: int = 0
+    leases: Counter[str] = field(default_factory=Counter)
     registry: RegistryState = field(default_factory=RegistryState)
 
 
@@ -147,21 +147,15 @@ def make_ue_handlers(fixtures: Mapping[str, UeFixture]) -> dict[str, Any]:
         static_ip = fixture.static_ip if fixture is not None else None
         return ToolResult(content={"static_ip": static_ip})
 
-    def dhcpv4(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
-        state: UeSessionState = ctx.session
-        if state.dhcpv4_allocated >= DHCP_POOL_SIZE:
-            return ToolResult(content={"error": "dhcpv4 pool exhausted"}, is_error=True)
-        state.dhcpv4_allocated += 1
-        address = str(DHCPV4_BASE + state.dhcpv4_allocated)
-        return ToolResult(content={"address": address})
+    def dhcp(family: str, base: ipaddress.IPv4Address | ipaddress.IPv6Address) -> Handler:
+        def allocate(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
+            leases = ctx.session.leases
+            if leases[family] >= DHCP_POOL_SIZE:
+                return ToolResult(content={"error": f"{family} pool exhausted"}, is_error=True)
+            leases[family] += 1
+            return ToolResult(content={"address": str(base + leases[family])})
 
-    def dhcpv6(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
-        state: UeSessionState = ctx.session
-        if state.dhcpv6_allocated >= DHCP_POOL_SIZE:
-            return ToolResult(content={"error": "dhcpv6 pool exhausted"}, is_error=True)
-        state.dhcpv6_allocated += 1
-        address = str(DHCPV6_BASE + state.dhcpv6_allocated)
-        return ToolResult(content={"address": address})
+        return allocate
 
     def assign(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
         state: UeSessionState = ctx.session
@@ -185,8 +179,8 @@ def make_ue_handlers(fixtures: Mapping[str, UeFixture]) -> dict[str, Any]:
     return {
         AUTH_TOOL: authorize,
         STATIC_TOOL: static_lookup,
-        DHCPV4_TOOL: dhcpv4,
-        DHCPV6_TOOL: dhcpv6,
+        DHCPV4_TOOL: dhcp("dhcpv4", DHCPV4_BASE),
+        DHCPV6_TOOL: dhcp("dhcpv6", DHCPV6_BASE),
         REGISTRY_TOOL: assign,
     }
 

@@ -305,7 +305,7 @@ def test_run_caps_turns():
 
     ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
     run = run_agent(
-        ctx, intent, LoopingBackend(), transport, clock, RunLimits(5), "s", "r"
+        ctx, intent, LoopingBackend(), transport, clock, RunLimits(5), "r"
     )
     assert run.terminated_reason is TerminatedReason.TURN_CAP_HIT
     assert len(run.llm_steps) == 5
@@ -326,10 +326,33 @@ def test_backend_exception_yields_backend_error():
 
     ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
     run = run_agent(
-        ctx, intent, BrokenBackend(), transport, clock, RunLimits(5), "s", "r"
+        ctx, intent, BrokenBackend(), transport, clock, RunLimits(5), "r"
     )
     assert run.terminated_reason is TerminatedReason.BACKEND_ERROR
     assert run.trace.length == 0
+
+
+def test_failed_tool_discovery_ends_run_before_first_turn():
+    env = _env()
+    intent = make_allocation_intent("ue-001", "IPv4")
+
+    class DownTransport:
+        def list_tools(self, server_id):
+            raise ConnectionError("no server")
+
+    class UnusedBackend:
+        model_id = "unused"
+
+        def step(self, messages, tools):
+            raise AssertionError("no turn runs without a tool list")
+
+    ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
+    run = run_agent(
+        ctx, intent, UnusedBackend(), DownTransport(), VirtualClock(), RunLimits(5), "r"
+    )
+    assert run.terminated_reason is TerminatedReason.BACKEND_ERROR
+    assert (run.run_id, run.model_id, run.intent) == ("r", "unused", intent)
+    assert (run.trace.records, run.llm_steps, run.final_text) == ((), (), "")
 
 
 def test_failed_tool_call_feeds_back_and_run_continues():
@@ -370,7 +393,7 @@ def test_multiple_calls_in_one_turn_execute_in_order():
 
     ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
     run = run_agent(
-        ctx, intent, BatchingBackend(), transport, clock, RunLimits(5), "s", "r"
+        ctx, intent, BatchingBackend(), transport, clock, RunLimits(5), "r"
     )
     assert run.trace.tool_names == tuple(c[0] for c in CALLS)
     assert len(run.llm_steps) == 2

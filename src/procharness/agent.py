@@ -273,11 +273,12 @@ class RemoteChatBackend:
     """Chat-completions-with-tools client for any compatible endpoint.
 
     Built on ``urllib.request``: it speaks HTTPS and honours the
-    ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY`` variables."""
+    ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY`` variables. Its runs carry
+    the config entry's ``model_id``; the request names ``config.model``."""
 
-    def __init__(self, config: RemoteEndpointConfig) -> None:
+    def __init__(self, config: RemoteEndpointConfig, model_id: str) -> None:
         self.config = config
-        self.model_id = config.model
+        self.model_id = model_id
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -389,22 +390,13 @@ def build_context(
 # Run loop
 
 
-@dataclass(frozen=True)
-class RunLimits:
-    max_turns: int
-
-    def __post_init__(self) -> None:
-        if self.max_turns < 1:
-            raise ValueError("max_turns must be at least 1")
-
-
 def run_agent(
     context: ApproachContext,
     intent: Intent,
     backend: ModelBackend,
     transport: Any,
     clock: Any,
-    limits: RunLimits,
+    max_turns: int,
     run_id: str,
 ) -> RunRecord:
     """Standard tool-calling loop: model turn, execute requested calls in
@@ -420,7 +412,6 @@ def run_agent(
     llm_steps: list[tuple[int, int]] = []
     final_text = ""
     reason = TerminatedReason.TURN_CAP_HIT
-    max_turns = limits.max_turns
     try:
         descriptors = transport.list_tools(context.server_id)
     except Exception:

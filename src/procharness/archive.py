@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .model import INLINE, Jsonable, Procedure, RunRecord, Verdict
+from .model import INLINE, Jsonable, ModelError, Procedure, RunRecord, Verdict
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,18 @@ def existing_run_ids(path: Path) -> set[str]:
     for _, line in iter_lines(path):
         try:
             ids.add(json.loads(line)["run_id"])
-        except (json.JSONDecodeError, KeyError):
-            continue
+        except (json.JSONDecodeError, KeyError, TypeError):
+            continue  # not a run object: the run is not counted as done
     return ids
 
 
 def load_documents(path: Path) -> list[RunDocument]:
-    return [RunDocument.from_dict(json.loads(line)) for _, line in iter_lines(path)]
+    """Every run of an archive; a line that does not decode to a run
+    raises ``ModelError`` naming it."""
+    docs = []
+    for lineno, line in iter_lines(path):
+        try:
+            docs.append(RunDocument.from_dict(json.loads(line)))
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise ModelError(f"{path}:{lineno}: not a run document ({exc})") from None
+    return docs

@@ -245,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ModelError as exc:  # a bad config or flag, found before any run starts
+    except ModelError as exc:  # a bad config, flag or archive: one line, no traceback
         print(f"{parser.prog} {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,7 +21,6 @@ from .agent import (
     ApproachContext,
     Call,
     RemoteChatBackend,
-    RunLimits,
     ScriptedBackend,
     apply_fault,
     build_context,
@@ -258,7 +257,7 @@ def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
             playbook, clock, cell.model.llm_latency_ms, cell.model.model_id
         )
     else:
-        backend = RemoteChatBackend(cell.model.endpoint)
+        backend = RemoteChatBackend(cell.model.endpoint, cell.model.model_id)
 
     transport = env.make_transport(clock, env.config.tool_latency_ms if scripted else 0)
     try:
@@ -268,7 +267,7 @@ def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
             backend,
             transport,
             clock,
-            RunLimits(default_turn_cap(plan.k)),
+            default_turn_cap(plan.k),
             run_id=cell.run_id,
         )
     finally:
@@ -365,7 +364,7 @@ def summaries_from_documents(docs: list[RunDocument]) -> list[GroupSummary]:
     rows = []
     for doc in docs:
         if doc.verdict_agent is None:
-            raise ValueError(f"run {doc.run.run_id} has no verdict; classify first")
+            raise ModelError(f"run {doc.run.run_id} has no verdict; classify first")
         key = GroupKey(doc.scenario, doc.run.approach.value, doc.run.model_id, doc.k)
         rows.append((key, doc.run, doc.verdict_agent))
     return summarize(rows)

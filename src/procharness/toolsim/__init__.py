@@ -2,27 +2,18 @@
 
 from __future__ import annotations
 
-from .host import (
-    META_TOOL_NAME,
-    ArgumentValidationError,
-    CallContext,
-    ToolHost,
-    ToolNotFoundError,
-    ToolResult,
-    make_repository_tool,
-)
+from collections import Counter
+
+from .host import META_TOOL_NAME, ToolHost, make_repository_tool
 from .kpi import (
-    KPI_INTENT_KEY,
     KPI_TOOL_NAMES,
     POOL_SIZE,
     STRESS_LENGTHS,
-    KpiToolDef,
     KpiToolPool,
     build_kpi_pool,
     gen_stress_procedure,
     kpi_query,
     kpi_tool_specs,
-    kpi_value,
     make_kpi_handlers,
 )
 from .ue import (
@@ -33,10 +24,7 @@ from .ue import (
     REGISTRY_TOOL,
     SESSION_TYPES,
     STATIC_TOOL,
-    UE_INTENT_KEY,
-    RegistryState,
     UeFixture,
-    UeSessionState,
     allocation_plan,
     allocation_tool_specs,
     default_fixtures,
@@ -60,9 +48,7 @@ def build_encapsulated_host(fixtures) -> ToolHost:
     handlers = {ENCAP_TOOL: make_encapsulated_handler(fixtures)}
     for spec in specs[1:]:
         handlers[spec.name] = make_decoy_handler(spec.name)
-    return ToolHost(
-        ENCAPSULATED_SERVER_ID, specs, handlers, session_factory=UeSessionState
-    )
+    return ToolHost(specs, handlers, session_factory=Counter)
 
 
 def build_procedure_host(fixtures, repository_text: str | None = None) -> ToolHost:
@@ -74,9 +60,9 @@ def build_procedure_host(fixtures, repository_text: str | None = None) -> ToolHo
         meta_spec, meta_handler = make_repository_tool(repository_text)
         specs = specs + [meta_spec]
         handlers[META_TOOL_NAME] = meta_handler
-    return ToolHost(PROCEDURE_SERVER_ID, specs, handlers, session_factory=UeSessionState)
+    return ToolHost(specs, handlers, session_factory=Counter)
 
 
 def build_kpi_host(pool: KpiToolPool) -> ToolHost:
     """Server 3: the seeded KPI pool (stateless)."""
-    return ToolHost(KPI_SERVER_ID, kpi_tool_specs(pool), make_kpi_handlers(pool))
+    return ToolHost(kpi_tool_specs(pool), make_kpi_handlers(pool))

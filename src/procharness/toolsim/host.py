@@ -1,13 +1,15 @@
 """In-process tool hosting: specs + handlers + per-run session state.
 
-A host backs exactly one tool server. Sessions are keyed by a run-session
-identifier so concurrent runs never observe each other's DHCP cursors or
-registry entries; calls within one session are serialized.
+A host backs exactly one tool server. A host with a session factory keeps
+one session per run-session identifier, so concurrent runs never observe
+each other's DHCP cursors; a host without one keeps nothing per run. The
+host runs one call at a time.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -60,35 +62,23 @@ Handler = Callable[[Mapping[str, Any], CallContext], ToolResult]
 class ToolHost:
     def __init__(
         self,
-        server_id: int,
         specs: Sequence[ToolSpec],
         handlers: Mapping[str, Handler],
         session_factory: Callable[[], Any] | None = None,
     ) -> None:
-        self.server_id = server_id
         self.registry = ToolRegistry(specs)
         missing = [s.name for s in specs if s.name not in handlers]
         if missing:
             raise ValueError(f"no handler for tools: {missing}")
         self._handlers = dict(handlers)
-        self._session_factory = session_factory
         self._descriptors = [spec.to_dict() for spec in self.registry]
-        self._sessions: dict[str, Any] = {}
-        self._session_locks: dict[str, threading.Lock] = {}
+        # a session per run id, made on its first call; none without a factory
+        self._sessions = defaultdict(session_factory) if session_factory else None
         self._lock = threading.Lock()
 
     def list_tools(self) -> list[dict[str, Any]]:
         """Descriptors in registration order, built once: the tools never change."""
         return self._descriptors
-
-    def _session_slot(self, session_id: str) -> tuple[Any, threading.Lock]:
-        with self._lock:
-            if session_id not in self._session_locks:
-                self._session_locks[session_id] = threading.Lock()
-                self._sessions[session_id] = (
-                    self._session_factory() if self._session_factory else None
-                )
-            return self._sessions[session_id], self._session_locks[session_id]
 
     def call_tool(
         self, name: str, arguments: Mapping[str, Any], session_id: str, clock: Any
@@ -100,8 +90,8 @@ class ToolHost:
         problems = validate_arguments(spec, args)
         if problems:
             raise ArgumentValidationError(name, problems)
-        session, lock = self._session_slot(session_id)
-        with lock:
+        with self._lock:
+            session = None if self._sessions is None else self._sessions[session_id]
             return self._handlers[name](args, CallContext(session=session, clock=clock))
 
 

@@ -170,19 +170,12 @@ def build_kpi_pool(seed: int) -> KpiToolPool:
     return KpiToolPool(seed=seed, tools=tuple(tools))
 
 
-def kpi_value(pool: KpiToolPool, tool_name: str, region: str) -> float:
-    tool = pool.get(tool_name)
-    if tool is None:
-        raise KeyError(tool_name)
-    u = stable_seed(pool.seed, tool_name, region) / 2**64
-    return round(tool.lo + u * (tool.hi - tool.lo), 3)
-
-
 def kpi_query(pool: KpiToolPool, tool_name: str, region: str) -> dict[str, Any]:
     tool = pool.get(tool_name)
     if tool is None:
         raise KeyError(tool_name)
-    value = kpi_value(pool, tool_name, region)
+    u = stable_seed(pool.seed, tool_name, region) / 2**64
+    value = round(tool.lo + u * (tool.hi - tool.lo), 3)
     abnormal = value > tool.abnormal_threshold if tool.high_is_bad else value < tool.abnormal_threshold
     return {
         "kpi": tool_name,

@@ -1,15 +1,14 @@
 """Simulated UE IP allocation tools and their ground-truth procedure.
 
-All tools are deterministic given a fixture set and per-run session state:
-DHCP pools hand out sequential addresses, and the assignment registry is
-append-only within a run.
+All tools are deterministic given a fixture set and per-run session state,
+a ``Counter`` of DHCP leases handed out per family: each pool hands out
+sequential addresses within a run.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..model import (
@@ -70,30 +69,6 @@ def default_fixtures() -> dict[str, UeFixture]:
     return {f.ue_id: f for f in fixtures}
 
 
-@dataclass
-class RegistryState:
-    """Per-run record of completed assignments; append-only within a run."""
-
-    assignments: dict[str, list[dict[str, Any]]] = field(default_factory=dict)
-
-    def add(self, ue_id: str, address: str, session_type: str, at_ms: int) -> dict[str, Any]:
-        entry = {"address": address, "session_type": session_type, "assigned_at": at_ms}
-        self.assignments.setdefault(ue_id, []).append(entry)
-        return entry
-
-    @property
-    def total(self) -> int:
-        return sum(len(v) for v in self.assignments.values())
-
-
-@dataclass
-class UeSessionState:
-    """Mutable per-run tool state: DHCP leases per family plus the registry."""
-
-    leases: Counter[str] = field(default_factory=Counter)
-    registry: RegistryState = field(default_factory=RegistryState)
-
-
 def static_family_compatible(address: str, session_type: str) -> bool:
     """A single-family static address cannot serve a dual-stack request."""
     version = ipaddress.ip_address(address).version
@@ -149,7 +124,7 @@ def make_ue_handlers(fixtures: Mapping[str, UeFixture]) -> dict[str, Any]:
 
     def dhcp(family: str, base: ipaddress.IPv4Address | ipaddress.IPv6Address) -> Handler:
         def allocate(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
-            leases = ctx.session.leases
+            leases = ctx.session
             if leases[family] >= DHCP_POOL_SIZE:
                 return ToolResult(content={"error": f"{family} pool exhausted"}, is_error=True)
             leases[family] += 1
@@ -158,15 +133,11 @@ def make_ue_handlers(fixtures: Mapping[str, UeFixture]) -> dict[str, Any]:
         return allocate
 
     def assign(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
-        state: UeSessionState = ctx.session
         address = args["address"]
         if not _valid_assignment_address(address):
             return ToolResult(
                 content={"error": f"invalid address syntax {address!r}"}, is_error=True
             )
-        state.registry.add(
-            args["ue_id"], address, args["session_type"], ctx.clock.now_ms()
-        )
         return ToolResult(
             content={
                 "status": "assigned",

@@ -14,6 +14,7 @@ length of a run.
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
 import socket
 import sys
@@ -233,7 +234,8 @@ class ToolServer:
 
 class _TransportBase:
     """Shared request bookkeeping for both transports. A transport serves
-    one run: it numbers the records it returns in the run's order.
+    one run on one thread: it numbers the requests it sends and the
+    records it returns in the run's order.
 
     ``tool_latency_ms`` is the injected per-call latency used with a virtual
     clock; with a real clock ``advance`` is a no-op and elapsed time is
@@ -244,13 +246,7 @@ class _TransportBase:
         self.clock = clock
         self.tool_latency_ms = tool_latency_ms
         self._records = 0
-        self._next_id = 0
-        self._id_lock = threading.Lock()
-
-    def _request_id(self) -> int:
-        with self._id_lock:
-            self._next_id += 1
-            return self._next_id
+        self._ids = itertools.count(1)
 
     def _send(self, server_id: int, payload: dict[str, Any], session_id: str) -> dict[str, Any]:
         raise NotImplementedError
@@ -259,7 +255,7 @@ class _TransportBase:
         """Release what the transport holds open; loopback holds nothing."""
 
     def list_tools(self, server_id: int) -> list[dict[str, Any]]:
-        payload = {"jsonrpc": "2.0", "id": self._request_id(), "method": "tools/list"}
+        payload = {"jsonrpc": "2.0", "id": next(self._ids), "method": "tools/list"}
         response = self._send(server_id, payload, "discovery")
         if "error" in response:
             raise RuntimeError(f"tools/list failed: {response['error']}")
@@ -274,7 +270,7 @@ class _TransportBase:
         failed record whose result is ``{"error": message}``."""
         payload = {
             "jsonrpc": "2.0",
-            "id": self._request_id(),
+            "id": next(self._ids),
             "method": "tools/call",
             "params": {"name": name, "arguments": dict(arguments)},
         }

@@ -41,7 +41,6 @@ from procharness.runner import (
 )
 from procharness.toolsim import (
     SESSION_TYPES,
-    UeSessionState,
     allocation_tool_specs,
     build_kpi_pool,
     build_procedure_host,
@@ -173,7 +172,7 @@ def test_criterion_3_ground_truth_branch_coverage(fixtures):
             )
             result = handler(
                 {"ue_id": ue_id, "session_type": session_type},
-                CallContext(session=UeSessionState(), clock=VirtualClock()),
+                CallContext(session=Counter(), clock=VirtualClock()),
             )
             assert tuple(c.tool_name for c in result.internal_calls) == procedure.tool_names
         elapsed = time.monotonic() - started
@@ -391,7 +390,7 @@ def test_criterion_8_wire_round_trip():
         direct = {
             (tool, i): (
                 handlers[tool](
-                    args, CallContext(session=UeSessionState(), clock=MonotonicClock())
+                    args, CallContext(session=Counter(), clock=MonotonicClock())
                 )
             )
             for tool, cases in arg_sets.items()

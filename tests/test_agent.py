@@ -10,7 +10,6 @@ from procharness.agent import (
     FaultKind,
     FaultProgram,
     NO_FAULT,
-    RunLimits,
     apply_fault,
     build_context,
     build_playbook,
@@ -304,9 +303,7 @@ def test_run_caps_turns():
             )
 
     ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
-    run = run_agent(
-        ctx, intent, LoopingBackend(), transport, clock, RunLimits(5), "r"
-    )
+    run = run_agent(ctx, intent, LoopingBackend(), transport, clock, 5, "r")
     assert run.terminated_reason is TerminatedReason.TURN_CAP_HIT
     assert len(run.llm_steps) == 5
     assert run.trace.length == 5
@@ -325,9 +322,7 @@ def test_backend_exception_yields_backend_error():
             raise RuntimeError("boom")
 
     ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
-    run = run_agent(
-        ctx, intent, BrokenBackend(), transport, clock, RunLimits(5), "r"
-    )
+    run = run_agent(ctx, intent, BrokenBackend(), transport, clock, 5, "r")
     assert run.terminated_reason is TerminatedReason.BACKEND_ERROR
     assert run.trace.length == 0
 
@@ -347,9 +342,7 @@ def test_failed_tool_discovery_ends_run_before_first_turn():
             raise AssertionError("no turn runs without a tool list")
 
     ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
-    run = run_agent(
-        ctx, intent, UnusedBackend(), DownTransport(), VirtualClock(), RunLimits(5), "r"
-    )
+    run = run_agent(ctx, intent, UnusedBackend(), DownTransport(), VirtualClock(), 5, "r")
     assert run.terminated_reason is TerminatedReason.BACKEND_ERROR
     assert (run.run_id, run.model_id, run.intent) == ("r", "unused", intent)
     assert (run.trace.records, run.llm_steps, run.final_text) == ((), (), "")
@@ -392,9 +385,7 @@ def test_multiple_calls_in_one_turn_execute_in_order():
             )
 
     ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
-    run = run_agent(
-        ctx, intent, BatchingBackend(), transport, clock, RunLimits(5), "r"
-    )
+    run = run_agent(ctx, intent, BatchingBackend(), transport, clock, 5, "r")
     assert run.trace.tool_names == tuple(c[0] for c in CALLS)
     assert len(run.llm_steps) == 2
     assert [r.step_index for r in run.trace.records] == [1, 2, 3]

@@ -368,6 +368,47 @@ def test_classify_skips_corrupt_lines(tmp_path, small_config, capsys):
     assert len(load_documents(out / "runs_a_classified.jsonl")) == 8
 
 
+def test_run_resumes_past_lines_that_are_not_run_objects(tmp_path, small_config):
+    out = tmp_path / "out"
+    argv = ("run", "--scenario", "A", "--config", str(small_config), "--out", str(out))
+    assert _cli(*argv) == 0
+    archive = out / "runs_a.jsonl"
+    lines = archive.read_text(encoding="utf-8").splitlines(keepends=True)
+    all_ids = {json.loads(line)["run_id"] for line in lines}
+    junk = '[1]\n"s"\n{"run_id": ["x"]}\n'
+    archive.write_text("".join(lines[:5]) + junk, encoding="utf-8")
+    assert _cli(*argv) == 0
+    runs = [json.loads(line) for line in archive.read_text(encoding="utf-8").splitlines()[8:]]
+    assert len(runs) == 3
+    assert {json.loads(line)["run_id"] for line in lines[:5]} | {r["run_id"] for r in runs} == all_ids
+
+
+def test_report_on_a_bad_archive_is_one_line_usage_error(tmp_path, small_config, capsys):
+    out = tmp_path / "out"
+    common = ("--scenario", "A", "--config", str(small_config), "--out", str(out))
+    assert _cli("report", *common) == 1
+    classified = out / "runs_a_classified.jsonl"
+    assert capsys.readouterr().err.splitlines() == [
+        f"classified archive not found: {classified}"
+    ]
+
+    assert _cli("run", *common) == 0
+    raw = out / "runs_a.jsonl"
+    capsys.readouterr()
+    assert _cli("report", *common, "--archive", str(raw)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("procharness report: run A-A1-") and line.endswith("classify first")
+
+    assert _cli("classify", *common) == 0
+    data = classified.read_bytes()
+    classified.write_bytes(data[: len(data) - 40])  # the last line loses its end
+    capsys.readouterr()
+    assert _cli("report", *common) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"procharness report: {classified}:8: not a run document")
+    assert not (out / "summary_a.csv").exists()
+
+
 def test_classify_missing_archive_is_usage_error(tmp_path):
     assert _cli("classify", "--scenario", "A", "--out", str(tmp_path)) == 1
 

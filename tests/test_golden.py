@@ -62,7 +62,7 @@ GOLDEN_WIRE = {
     "tools/list 1": "ea09599864ad540ed1b6bc4f2f192c7fc5a6fd78f7ce3f9236a506f9ce30f07d",
     "tools/list 2": "f4a9574b750782cef5134a6bd9b30bc2261d7fab2e2fa509829a81e301b43d03",
     "tools/list 3": "ecf5cfa6d2ca309fa9014ac776b15d065e85bd514c9b84f38cb6034222f65890",
-    "tools/call ue_ip_allocation": "02c6b711cc8b6dbe7a2f1232d9f279000fd874f7d48ba73ea6dfdc2e0f6e8539",
+    "tools/call ue_ip_allocation": "62f155bb97f4ff56d73e98daac5e44db583fd696d68e5075669a8bcdca800bca",
 }
 
 

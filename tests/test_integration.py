@@ -36,7 +36,12 @@ from procharness.runner import (
     run_batch,
     write_reports,
 )
-from procharness.toolsim import META_TOOL_NAME
+from procharness.toolsim import (
+    ENCAPSULATED_SERVER_ID,
+    KPI_SERVER_ID,
+    META_TOOL_NAME,
+    PROCEDURE_SERVER_ID,
+)
 from procharness.wire import SERVE_POLL_S, ToolServer
 
 
@@ -299,6 +304,21 @@ def test_worker_pool_preserves_results(tmp_path):
     assert a1.read_bytes() == a4.read_bytes()
 
 
+def test_hosts_keep_only_lease_counters_per_run():
+    config = _small_config(scenario_b=ScenarioBConfig(runs_per_cell=2, k_values=(5,)))
+    env = HarnessEnv(config)
+    cells = env.cells(SCENARIO_A) + env.cells(SCENARIO_B)
+    for cell in cells:
+        execute_run(env, cell)
+    a4 = {c.run_id for c in cells if c.approach is Approach.A4}
+    step_level = {c.run_id for c in cells if c.scenario == SCENARIO_A} - a4
+    for server_id, run_ids in ((ENCAPSULATED_SERVER_ID, a4), (PROCEDURE_SERVER_ID, step_level)):
+        sessions = env.hosts[server_id]._sessions
+        assert set(sessions) == run_ids
+        assert all(type(session) is Counter for session in sessions.values())
+    assert not env.hosts[KPI_SERVER_ID]._sessions  # the KPI tools keep nothing per run
+
+
 # ---------------------------------------------------------------------------
 # fake chat-completions endpoint
 
@@ -428,3 +448,26 @@ def test_unreachable_backend_marks_runs_but_batch_continues(tmp_path):
     by_model = {d.run.model_id: d for d in docs}
     assert by_model["scripted"].run.terminated_reason is TerminatedReason.MODEL_FINISHED
     assert by_model["dead"].run.terminated_reason is TerminatedReason.BACKEND_ERROR
+
+
+def test_live_runs_carry_their_entry_model_id(tmp_path, fake_endpoint):
+    server, url = fake_endpoint
+    endpoint = RemoteEndpointConfig(model="m", base_url=url, retries=0, timeout_s=5.0)
+    models = tuple(
+        ModelConfig(model_id=name, kind="openai_chat", endpoint=endpoint)
+        for name in ("cool", "warm")
+    )
+    config = HarnessConfig(
+        scenario_a=ScenarioAConfig(runs_per_cell=1, approaches=(Approach.A1,)),
+        models=models,
+    )
+    archive, classified = tmp_path / "runs_a.jsonl", tmp_path / "classified.jsonl"
+    run_batch(config, SCENARIO_A, archive)
+    classify_archive(config, archive, classified)
+    csv_path = tmp_path / "summary_a.csv"
+    write_reports(load_documents(classified), csv_path, tmp_path / "report_a.md")
+    assert sorted(d.run.model_id for d in load_documents(archive)) == ["cool", "warm"]
+    rows = csv_path.read_text(encoding="utf-8").splitlines()[1:]
+    assert sorted(row.split(",")[2] for row in rows) == ["cool", "warm"]
+    # the chat request still names the endpoint's model
+    assert [request["model"] for request in server.requests] == ["m", "m"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,6 @@ from procharness.toolsim import (
     KPI_TOOL_NAMES,
     POOL_SIZE,
     UeFixture,
-    UeSessionState,
     allocation_plan,
     build_kpi_pool,
     default_fixtures,
@@ -31,7 +31,7 @@ from procharness.toolsim.ue import DHCP_POOL_SIZE, static_family_compatible
 
 
 def _ctx():
-    return CallContext(session=UeSessionState(), clock=VirtualClock())
+    return CallContext(session=Counter(), clock=VirtualClock())
 
 
 @pytest.fixture()
@@ -91,15 +91,12 @@ def test_dhcp_pool_exhaustion(handlers):
 
 def test_assignment_appends_to_registry(handlers):
     ctx = _ctx()
-    args = {"ue_id": "ue-001", "address": "10.0.0.42", "session_type": "IPv4"}
-    result = handlers[REGISTRY_TOOL](args, ctx)
-    assert result.content["status"] == "assigned"
-    assert ctx.session.registry.total == 1
-    handlers[REGISTRY_TOOL](
-        {"ue_id": "ue-001", "address": "100.64.0.9", "session_type": "IPv4"}, ctx
-    )
-    entries = ctx.session.registry.assignments["ue-001"]
-    assert [e["address"] for e in entries] == ["10.0.0.42", "100.64.0.9"]
+    for address in ("10.0.0.42", "100.64.0.9,2001:db8::1"):
+        args = {"ue_id": "ue-001", "address": address, "session_type": "IPv4"}
+        result = handlers[REGISTRY_TOOL](args, ctx)
+        assert not result.is_error
+        assert result.content["status"] == "assigned"
+        assert result.content["address"] == address
 
 
 def test_assignment_rejects_bad_address(handlers):

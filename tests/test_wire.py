@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import http.client
 import itertools
 import json
 import threading
@@ -10,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procharness.model import CallOrigin, MonotonicClock, ValueKind, VirtualClock
+from procharness import wire
+from procharness.agent import ScriptedBackend, build_context, run_agent
+from procharness.model import (
+    Approach,
+    CallOrigin,
+    MonotonicClock,
+    ToolSpec,
+    ValueKind,
+    VirtualClock,
+)
 from procharness.toolsim import (
     AUTH_TOOL,
     ENCAP_TOOL,
@@ -21,8 +31,10 @@ from procharness.toolsim import (
     build_kpi_pool,
     build_procedure_host,
     default_fixtures,
+    make_allocation_intent,
 )
 from procharness.wire import (
+    ERR_INTERNAL,
     ERR_INVALID_PARAMS,
     ERR_TOOL_NOT_FOUND,
     HttpTransport,
@@ -69,7 +81,7 @@ def test_list_tools_counts(loopback):
 
 
 def test_list_tools_empty_host():
-    empty = ToolHost(9, [], {})
+    empty = ToolHost([], {})
     transport = LoopbackTransport({9: empty}, VirtualClock())
     assert transport.list_tools(9) == []
 
@@ -163,6 +175,103 @@ def test_handle_rpc_error_codes(procedure_host):
         clock,
     )
     assert bad_args["error"]["code"] == ERR_INVALID_PARAMS
+
+
+def _raising_host():
+    def boom(args, ctx):
+        raise RuntimeError("kaput")
+
+    return ToolHost([ToolSpec("boom", "Always raises.")], {"boom": boom})
+
+
+def _call(name):
+    return {"jsonrpc": "2.0", "id": 1, "method": "tools/call", "params": {"name": name}}
+
+
+def _reply_error(reply):
+    return f"{reply['error']['code']} {reply['error']['message']}"
+
+
+def _non_string_name(monkeypatch):
+    return _reply_error(handle_rpc(_raising_host(), _call(5), "s", VirtualClock()))
+
+
+def _handler_raises(monkeypatch):
+    host = _raising_host()
+    reply = handle_rpc(host, _call("boom"), "s", VirtualClock())
+    (record,) = LoopbackTransport({1: host}, VirtualClock()).call_tool(1, "boom", {}, "s")
+    assert not record.success
+    assert record.result == {"error": reply["error"]["message"]}
+    return _reply_error(reply)
+
+
+def _non_json_body(monkeypatch):
+    with ToolServer(_raising_host()) as server:
+        conn = http.client.HTTPConnection(*server.address, timeout=2.0)
+        try:
+            conn.request("POST", "/", b"{not json", {SESSION_HEADER: "s"})
+            reply = json.loads(conn.getresponse().read())
+        finally:
+            conn.close()
+    return _reply_error(reply)
+
+
+class _Http500Handler(BaseHTTPRequestHandler):
+    def do_POST(self):  # noqa: N802 (http.server API)
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(500)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+def _http_500(monkeypatch):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Http500Handler)
+    threading.Thread(target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True).start()
+    host, port = server.server_address[:2]
+    transport = HttpTransport({1: f"http://{host}:{port}"}, MonotonicClock(), timeout_s=2.0)
+    try:
+        (record,) = transport.call_tool(1, "boom", {}, "s")
+    finally:
+        transport.close()
+        server.shutdown()
+        server.server_close()
+    assert not record.success
+    return record.result["error"]
+
+
+def _failed_discovery(monkeypatch):
+    def list_refused(host, payload, session_id, clock):
+        return wire._error(payload["id"], ERR_INTERNAL, "list refused")
+
+    monkeypatch.setattr(wire, "handle_rpc", list_refused)
+    intent = make_allocation_intent("ue-001", "IPv4")
+    context = build_context(Approach.A4, intent, "", 1)
+    clock = VirtualClock()
+    transport = LoopbackTransport({1: build_encapsulated_host(default_fixtures())}, clock)
+    with pytest.raises(RuntimeError, match="tools/list failed"):
+        transport.list_tools(1)
+    backend = ScriptedBackend([], clock)
+    run = run_agent(context, intent, backend, transport, clock, 5, "r")
+    assert (run.trace.records, run.llm_steps) == ((), ())
+    return run.terminated_reason.value
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        (_non_string_name, "-32602 params.name must be a string"),
+        (_handler_raises, "-32603 tool execution failed: kaput"),
+        (_non_json_body, "-32700 request body is not valid JSON"),
+        (_http_500, "transport failure: HTTP 500"),
+        (_failed_discovery, "backend_error"),
+    ],
+    ids=lambda value: getattr(value, "__name__", "").strip("_") or None,
+)
+def test_error_replies(monkeypatch, case, expected):
+    assert case(monkeypatch).startswith(expected)
 
 
 _WORDS = st.sampled_from(

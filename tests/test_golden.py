@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import http.client
 import io
 import json
 from pathlib import Path
 
 import pytest
 
-from procharness import cli
+from procharness import cli, runner, toolsim
 from procharness.archive import load_documents
 from procharness.config import load_config
 from procharness.runner import (
@@ -29,7 +30,7 @@ from procharness.runner import (
     run_batch,
     write_reports,
 )
-from procharness.wire import handle_rpc
+from procharness.wire import SESSION_HEADER, ToolServer, handle_rpc
 
 GOLDEN_CONFIG = {
     "seed": 42,
@@ -63,6 +64,7 @@ GOLDEN_WIRE = {
     "tools/list 2": "f4a9574b750782cef5134a6bd9b30bc2261d7fab2e2fa509829a81e301b43d03",
     "tools/list 3": "ecf5cfa6d2ca309fa9014ac776b15d065e85bd514c9b84f38cb6034222f65890",
     "tools/call ue_ip_allocation": "62f155bb97f4ff56d73e98daac5e44db583fd696d68e5075669a8bcdca800bca",
+    "tools/call ue_ip_allocation http": "a2e4ab20216a538540cf388226165b593164a44f611a846569df2807516ee4c9",
 }
 
 
@@ -139,4 +141,40 @@ def test_wire_replies_are_byte_identical(golden_config_path):
     reply = handle_rpc(env.hosts[1], call, "golden-run", _TickClock())
     assert len(reply["result"]["internal_calls"]) == 5
     got["tools/call ue_ip_allocation"] = _sha256(json.dumps(reply).encode("utf-8"))
+    # the same call on a session of its own, through a started server
+    with ToolServer(env.hosts[1]) as server:
+        conn = http.client.HTTPConnection(*server.address, timeout=2.0)
+        try:
+            conn.request("POST", "/", json.dumps(call), {SESSION_HEADER: "golden-http"})
+            body = conn.getresponse().read()
+        finally:
+            conn.close()
+    got["tools/call ue_ip_allocation http"] = _sha256(body)
     assert got == GOLDEN_WIRE
+
+
+def test_classify_builds_no_host_pool_or_env(tmp_path, golden_config_path, monkeypatch):
+    # classify judges each line against its own ground truth on the fixed
+    # registries of the servers; it writes the golden bytes with every
+    # builder of hosts, pools and envs made to fail
+    config = load_config(golden_config_path)
+    raw = {s: tmp_path / f"runs_{s.lower()}.jsonl" for s in (SCENARIO_A, SCENARIO_B)}
+    for scenario, path in raw.items():
+        run_batch(config, scenario, path)
+
+    def build(*args, **kwargs):
+        raise AssertionError("classify built a host, a KPI pool or an env")
+
+    monkeypatch.setattr(runner, "HarnessEnv", build)
+    for name in (
+        "build_kpi_pool",
+        "build_encapsulated_host",
+        "build_procedure_host",
+        "build_kpi_host",
+    ):
+        monkeypatch.setattr(runner, name, build)
+        monkeypatch.setattr(toolsim, name, build)
+    for scenario, path in raw.items():
+        name = f"runs_{scenario.lower()}_classified.jsonl"
+        assert runner.classify_archive(config, path, tmp_path / name)[1] == 0
+        assert _sha256((tmp_path / name).read_bytes()) == GOLDEN_FILES[name]

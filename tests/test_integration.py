@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procharness import prompts, runner
-from procharness.agent import Approach, RemoteEndpointConfig
+from procharness import agent, prompts, runner
+from procharness.agent import Approach, RemoteEndpointConfig, descriptor_to_chat_tool
 from procharness.archive import load_documents
 from procharness.classify import classify
 from procharness.config import (
@@ -429,6 +429,33 @@ def test_remote_backend_exhausted_retries_is_backend_error(fake_endpoint, monkey
         registry,
     )
     assert verdict.outcome is Outcome.NO_TOOL_CALLS
+
+
+def test_live_run_converts_each_descriptor_once(fake_endpoint, monkeypatch):
+    server, url = fake_endpoint
+    server.script.extend(
+        [
+            (200, _tool_call_message("ue_authorization", {"ue_id": "ue-001", "session_type": "IPv4"})),
+            (200, _tool_call_message("static_ip_retrieval", {"ue_id": "ue-001"})),
+        ]
+    )
+    converted = []
+
+    def convert(descriptor):
+        converted.append(descriptor["name"])
+        return descriptor_to_chat_tool(descriptor)
+
+    monkeypatch.setattr(agent, "descriptor_to_chat_tool", convert)
+    endpoint = RemoteEndpointConfig(model="fake", base_url=url, retries=0, timeout_s=5.0)
+    model = ModelConfig(model_id="fake", kind="openai_chat", endpoint=endpoint)
+    env = HarnessEnv(HarnessConfig(scenario_a=ScenarioAConfig(runs_per_cell=1), models=(model,)))
+    doc = execute_run(env, RunCell(SCENARIO_A, Approach.A1, model, 3, 1))
+    assert doc.run.terminated_reason is TerminatedReason.MODEL_FINISHED
+    descriptors = env.hosts[PROCEDURE_SERVER_ID].list_tools()
+    assert converted == [d["name"] for d in descriptors]
+    # every turn still sends the whole tool list
+    tools = [descriptor_to_chat_tool(d) for d in descriptors]
+    assert [request["tools"] for request in server.requests] == [tools] * 3
 
 
 def test_unreachable_backend_marks_runs_but_batch_continues(tmp_path):

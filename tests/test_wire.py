@@ -36,6 +36,8 @@ from procharness.toolsim import (
 from procharness.wire import (
     ERR_INTERNAL,
     ERR_INVALID_PARAMS,
+    ERR_INVALID_REQUEST,
+    ERR_PARSE,
     ERR_TOOL_NOT_FOUND,
     HttpTransport,
     LoopbackTransport,
@@ -370,6 +372,40 @@ def test_handle_rpc_needs_no_json_round_trip(every_host, data):
     assert json.dumps(payload) == sent
 
 
+class _TickingClock:
+    """Moves one millisecond on every reading."""
+
+    def __init__(self) -> None:
+        self._now = 1000
+
+    def now_ms(self) -> int:
+        self._now += 1
+        return self._now
+
+    def advance(self, ms: int) -> None:
+        self._now += ms
+
+
+def test_sub_calls_sit_at_the_parent_start_on_either_transport(fixtures):
+    # a simulated tool takes no time: over loopback on a moving clock, as
+    # over a socket, the sub-calls of an encapsulated tool start with it
+    # and last nothing
+    args = {"ue_id": "ue-002", "session_type": "IPv4v6"}
+    loopback = LoopbackTransport({1: build_encapsulated_host(fixtures)}, _TickingClock())
+    looped = loopback.call_tool(1, ENCAP_TOOL, args, "s")
+    with ToolServer(build_encapsulated_host(fixtures)) as server:
+        http = HttpTransport({1: server.url}, _TickingClock())
+        try:
+            sent = http.call_tool(1, ENCAP_TOOL, args, "s")
+        finally:
+            http.close()
+    assert looped == sent
+    call, *internals = looped
+    assert len(internals) == 5
+    assert all(c.origin is CallOrigin.TOOL_INTERNAL for c in internals)
+    assert {(c.started_at, c.ended_at) for c in internals} == {(call.started_at,) * 2}
+
+
 def test_wire_field_names(procedure_host):
     response = handle_rpc(
         procedure_host,
@@ -387,6 +423,40 @@ def test_wire_field_names(procedure_host):
     )
     assert set(response) == {"jsonrpc", "id", "result"}
     assert set(response["result"]) == {"content", "is_error"}
+
+
+@pytest.mark.parametrize(
+    "body, code, req_id",
+    [
+        (b"[1]", ERR_INVALID_REQUEST, None),
+        (
+            b'{"jsonrpc": "2.0", "id": 1, "method": "tools/call", "params": [1]}',
+            ERR_INVALID_PARAMS,
+            1,
+        ),
+        (b"\x80abc", ERR_PARSE, None),
+    ],
+    ids=["non-object body", "non-object params", "non-UTF-8 body"],
+)
+def test_server_answers_every_body_with_a_reply(procedure_host, capfd, body, code, req_id):
+    valid = {
+        "jsonrpc": "2.0",
+        "id": 2,
+        "method": "tools/call",
+        "params": {"name": AUTH_TOOL, "arguments": {"ue_id": "ue-001", "session_type": "IPv4"}},
+    }
+    with ToolServer(procedure_host) as server:
+        conn = http.client.HTTPConnection(*server.address, timeout=2.0)
+        try:
+            conn.request("POST", "/", body, {SESSION_HEADER: "s"})
+            reply = json.loads(conn.getresponse().read())
+            conn.request("POST", "/", json.dumps(valid), {SESSION_HEADER: "s"})
+            answered = json.loads(conn.getresponse().read())
+        finally:
+            conn.close()
+    assert (reply["id"], reply["error"]["code"]) == (req_id, code)
+    assert answered["result"]["content"]["status"] == "authorized"
+    assert capfd.readouterr().err == ""
 
 
 def test_meta_tool_round_trip(loopback):

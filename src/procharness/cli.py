@@ -138,7 +138,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     )
     written = [pool_path]
     for k in config.scenario_b.k_values:
-        intent, procedure = gen_stress_procedure(pool, k, config.seed)
+        intent, procedure = gen_stress_procedure(k, config.seed)
         path = out_dir / f"stress_k{k:03d}.json"
         path.write_text(
             json.dumps(

@@ -59,6 +59,8 @@ from .toolsim import (
     ENCAPSULATED_SERVER_ID,
     KPI_SERVER_ID,
     PROCEDURE_SERVER_ID,
+    SERVER_REGISTRIES,
+    SERVER_SPECS,
     build_encapsulated_host,
     build_kpi_host,
     build_kpi_pool,
@@ -82,6 +84,16 @@ _SERVERS: Mapping[tuple[str, Approach], int] = {
     (SCENARIO_A, Approach.A4): ENCAPSULATED_SERVER_ID,
     (SCENARIO_B, Approach.A1): KPI_SERVER_ID,
 }
+
+# what classify checks an A4 run's internal calls against
+FLATTENED_REGISTRY = ToolRegistry(
+    SERVER_SPECS[ENCAPSULATED_SERVER_ID] + SERVER_SPECS[PROCEDURE_SERVER_ID]
+)
+
+
+def visible_registry(scenario: str, approach: Approach) -> ToolRegistry:
+    """The registry of the one server an approach of a scenario sees."""
+    return SERVER_REGISTRIES[_SERVERS[scenario, approach]]
 
 
 @dataclass(frozen=True)
@@ -115,10 +127,9 @@ class RunPlan:
 
 
 class HarnessEnv:
-    """Shared per-batch state: the tool hosts and the registries they
-    expose. The run plans are built on the first read of ``plans``, so a
-    stage that runs nothing, such as ``classify`` or ``serve``, builds and
-    checks none."""
+    """Shared per-batch state: the tool hosts of a run or serve stage. The
+    run plans are built on the first read of ``plans``, so ``serve`` builds
+    and checks none."""
 
     def __init__(
         self, config: HarnessConfig, server_urls: Mapping[int, str] | None = None
@@ -127,18 +138,12 @@ class HarnessEnv:
         self.fixtures = {f.ue_id: f for f in config.scenario_a.fixtures}
         repo = config.scenario_a.repository_text
         self.repository_text = repo if repo is not None else prompts.UE_PROCEDURE_SET_TEXT
-        self.pool = build_kpi_pool(config.seed)
         self.hosts = {
             ENCAPSULATED_SERVER_ID: build_encapsulated_host(self.fixtures),
             PROCEDURE_SERVER_ID: build_procedure_host(self.fixtures, self.repository_text),
-            KPI_SERVER_ID: build_kpi_host(self.pool),
+            KPI_SERVER_ID: build_kpi_host(build_kpi_pool(config.seed)),
         }
         self.server_urls = dict(server_urls) if server_urls else None
-        # what classify_archive checks an A4 run's internal calls against
-        self.flattened_registry = ToolRegistry(
-            list(self.hosts[ENCAPSULATED_SERVER_ID].registry)
-            + list(self.hosts[PROCEDURE_SERVER_ID].registry)
-        )
 
     @functools.cached_property
     def plans(self) -> dict[tuple[str, Approach, int], RunPlan]:
@@ -172,7 +177,7 @@ class HarnessEnv:
                 k=step_level.length,
             )
         for k in config.scenario_b.k_values:
-            intent, procedure = gen_stress_procedure(self.pool, k, config.seed)
+            intent, procedure = gen_stress_procedure(k, config.seed)
             context = build_context(
                 Approach.A1,
                 intent,
@@ -207,9 +212,6 @@ class HarnessEnv:
             return HttpTransport(self.server_urls, clock, tool_latency_ms)
         return LoopbackTransport(self.hosts, clock, tool_latency_ms)
 
-    def visible_registry(self, scenario: str, approach: Approach) -> ToolRegistry:
-        return self.hosts[_SERVERS[scenario, approach]].registry
-
     def _check_ground_truth(self, scenario: str, approach: Approach, plan: RunPlan) -> None:
         """A plan whose fault-free calls would not classify Correct is a
         config error, not a result. ``classify`` judges them against
@@ -220,7 +222,7 @@ class HarnessEnv:
             ToolCallRecord(i, name, args, None, True, 0, 0)
             for i, (name, args) in enumerate(plan.calls, start=1)
         )
-        registry = self.visible_registry(scenario, approach)
+        registry = visible_registry(scenario, approach)
         verdict = classify(plan.expected, ObservedTrace(records), registry)
         if verdict.outcome is Outcome.WRONG_TOOL:
             i = verdict.offending_step
@@ -330,10 +332,10 @@ def classify_archive(
     errlog: Callable[[str], None] | None = None,
 ) -> tuple[int, int]:
     """Write every line back as it was read, with its two verdict keys set;
-    the verdicts judge the line's own ground truth, so no run plan is
-    read. Corrupt lines are reported with their line number and skipped.
-    Returns (classified, corrupt)."""
-    env = HarnessEnv(config)
+    the verdicts judge the line's own ground truth on the fixed registries
+    of the servers, so no run plan, host or pool is built and ``config`` is
+    not read. Corrupt lines are reported with their line number and
+    skipped. Returns (classified, corrupt)."""
     classified = 0
     corrupt = 0
     log = errlog or (lambda msg: print(msg, file=sys.stderr))
@@ -346,14 +348,13 @@ def classify_archive(
                 corrupt += 1
                 log(f"{in_path}:{lineno}: skipping corrupt record ({exc})")
                 continue
-            registry = env.visible_registry(doc.scenario, doc.run.approach)
+            registry = visible_registry(doc.scenario, doc.run.approach)
             agent_view = effective_trace(doc.run, TraceLevel.AGENT, registry)
             data["verdict_agent"] = classify(doc.expected, agent_view, registry).to_dict()
             data["verdict_flattened"] = None
             if doc.expected_flattened is not None:
-                flat_registry = env.flattened_registry
-                flat_view = effective_trace(doc.run, TraceLevel.FLATTENED, flat_registry)
-                verdict = classify(doc.expected_flattened, flat_view, flat_registry)
+                flat_view = effective_trace(doc.run, TraceLevel.FLATTENED, FLATTENED_REGISTRY)
+                verdict = classify(doc.expected_flattened, flat_view, FLATTENED_REGISTRY)
                 data["verdict_flattened"] = verdict.to_dict()
             out.write(json.dumps(data, sort_keys=True) + "\n")
             classified += 1

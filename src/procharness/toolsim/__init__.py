@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .host import META_TOOL_NAME, ToolHost, make_repository_tool
+from ..model import ToolRegistry
+from .host import META_TOOL_NAME, REPOSITORY_SPEC, ToolHost, make_repository_handler
 from .kpi import (
     KPI_TOOL_NAMES,
     POOL_SIZE,
@@ -41,28 +42,33 @@ ENCAPSULATED_SERVER_ID = 1
 PROCEDURE_SERVER_ID = 2
 KPI_SERVER_ID = 3
 
+# the one table of the tools each server exposes, in tools/list order, and
+# their registries; a host binds only the handlers (server 2 always serves
+# the procedure repository tool)
+SERVER_SPECS = {
+    ENCAPSULATED_SERVER_ID: tuple(encapsulated_tool_specs()),
+    PROCEDURE_SERVER_ID: (*allocation_tool_specs(), REPOSITORY_SPEC),
+    KPI_SERVER_ID: tuple(kpi_tool_specs()),
+}
+SERVER_REGISTRIES = {server_id: ToolRegistry(specs) for server_id, specs in SERVER_SPECS.items()}
+
 
 def build_encapsulated_host(fixtures) -> ToolHost:
     """Server 1: whole-procedure tools."""
-    specs = encapsulated_tool_specs()
-    handlers = {ENCAP_TOOL: make_encapsulated_handler(fixtures)}
-    for spec in specs[1:]:
-        handlers[spec.name] = make_decoy_handler(spec.name)
+    specs = SERVER_SPECS[ENCAPSULATED_SERVER_ID]
+    handlers = {spec.name: make_decoy_handler(spec.name) for spec in specs[1:]}
+    handlers[ENCAP_TOOL] = make_encapsulated_handler(fixtures)
     return ToolHost(specs, handlers, session_factory=Counter)
 
 
-def build_procedure_host(fixtures, repository_text: str | None = None) -> ToolHost:
-    """Server 2: the five step-level allocation tools, plus the procedure
-    repository meta tool when a rendering is configured."""
-    specs = allocation_tool_specs()
+def build_procedure_host(fixtures, repository_text: str) -> ToolHost:
+    """Server 2: the five step-level allocation tools and the procedure
+    repository meta tool, which serves ``repository_text``."""
     handlers = make_ue_handlers(fixtures)
-    if repository_text is not None:
-        meta_spec, meta_handler = make_repository_tool(repository_text)
-        specs = specs + [meta_spec]
-        handlers[META_TOOL_NAME] = meta_handler
-    return ToolHost(specs, handlers, session_factory=Counter)
+    handlers[META_TOOL_NAME] = make_repository_handler(repository_text)
+    return ToolHost(SERVER_SPECS[PROCEDURE_SERVER_ID], handlers, session_factory=Counter)
 
 
 def build_kpi_host(pool: KpiToolPool) -> ToolHost:
-    """Server 3: the seeded KPI pool (stateless)."""
-    return ToolHost(kpi_tool_specs(pool), make_kpi_handlers(pool))
+    """Server 3: the KPI tools, valued by the seeded pool (stateless)."""
+    return ToolHost(SERVER_SPECS[KPI_SERVER_ID], make_kpi_handlers(pool))

@@ -1,9 +1,11 @@
 """In-process tool hosting: specs + handlers + per-run session state.
 
-A host backs exactly one tool server. A host with a session factory keeps
-one session per run-session identifier, so concurrent runs never observe
-each other's DHCP cursors; a host without one keeps nothing per run. The
-host runs one call at a time.
+A host backs exactly one tool server. A handler reads only its checked
+arguments and its run's session: ``handler(arguments, session)``. A host
+with a session factory keeps one session per run-session identifier, so
+concurrent runs never observe each other's DHCP cursors; a host without
+one keeps nothing per run and hands its handlers ``None``. The host runs
+one call at a time.
 """
 
 from __future__ import annotations
@@ -41,22 +43,15 @@ class ArgumentValidationError(Exception):
 @dataclass
 class ToolResult:
     """What a handler returns. An encapsulated tool also returns the
-    sub-calls it made, timed from the start of its own call."""
+    sub-calls it made; a simulated tool takes no time, so each sits at the
+    start of its parent call with zero duration."""
 
     content: Any
     is_error: bool = False
     internal_calls: list[ToolCallRecord] = field(default_factory=list)
 
 
-@dataclass
-class CallContext:
-    """What a handler gets besides its arguments."""
-
-    session: Any
-    clock: Any
-
-
-Handler = Callable[[Mapping[str, Any], CallContext], ToolResult]
+Handler = Callable[[Mapping[str, Any], Any], ToolResult]
 
 
 class ToolHost:
@@ -80,9 +75,7 @@ class ToolHost:
         """Descriptors in registration order, built once: the tools never change."""
         return self._descriptors
 
-    def call_tool(
-        self, name: str, arguments: Mapping[str, Any], session_id: str, clock: Any
-    ) -> ToolResult:
+    def call_tool(self, name: str, arguments: Mapping[str, Any], session_id: str) -> ToolResult:
         spec = self.registry.lookup(name)
         if spec is None:
             raise ToolNotFoundError(name)
@@ -92,19 +85,18 @@ class ToolHost:
             raise ArgumentValidationError(name, problems)
         with self._lock:
             session = None if self._sessions is None else self._sessions[session_id]
-            return self._handlers[name](args, CallContext(session=session, clock=clock))
+            return self._handlers[name](args, session)
 
 
-def make_repository_tool(text: str) -> tuple[ToolSpec, Handler]:
-    """Meta tool returning the configured procedure-set rendering verbatim."""
-    spec = ToolSpec(
-        META_TOOL_NAME,
-        "Retrieve the operating procedures from the procedure repository.",
-        (),
-        scope=ToolScope.META,
-    )
+REPOSITORY_SPEC = ToolSpec(
+    META_TOOL_NAME,
+    "Retrieve the operating procedures from the procedure repository.",
+    (),
+    scope=ToolScope.META,
+)
 
-    def fetch(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
-        return ToolResult(content=text)
 
-    return spec, fetch
+def make_repository_handler(text: str) -> Handler:
+    """The meta tool's handler: the configured procedure-set rendering,
+    verbatim."""
+    return lambda args, session: ToolResult(content=text)

@@ -1,17 +1,18 @@
-"""Seeded pool of 100 network-analytics tools for the long-sequence stress
+"""Pool of 100 network-analytics tools for the long-sequence stress
 scenario.
 
-KPI values come from a counter-style construction: a SHA-256 digest of
-``(seed, tool, region)`` mapped to the tool's value range, so any language
-can reproduce the numbers. The algorithm identifier is recorded in the pool
-definition.
+The tools, their descriptions and units are fixed (``KPI_TOOL_NAMES`` and
+the unit rules); the seed sets only values and thresholds. KPI values come
+from a counter-style construction: a SHA-256 digest of ``(seed, tool,
+region)`` mapped to the tool's value range, so any language can reproduce
+the numbers. The algorithm identifier is recorded in the pool definition.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 from ..model import (
     ExpectedStep,
@@ -23,7 +24,7 @@ from ..model import (
     ToolSpec,
     stable_seed,
 )
-from .host import CallContext, ToolResult
+from .host import Handler, ToolResult
 
 POOL_SIZE = 100
 STRESS_LENGTHS = (5, 10, 20, 30, 40, 50)
@@ -106,6 +107,11 @@ def _unit_rule(name: str) -> tuple[str, float, float, bool]:
     return _DEFAULT_RULE
 
 
+def _description(name: str) -> str:
+    unit = _unit_rule(name)[0]
+    return f"Return the {name.replace('_', ' ')} KPI ({unit}) for a geographic region."
+
+
 @dataclass(frozen=True)
 class KpiToolDef(Jsonable):
     name: str
@@ -131,10 +137,6 @@ class KpiToolPool(Jsonable):
         # a plain attribute, not a field: the pool's JSON stays as it is
         object.__setattr__(self, "_by_name", by_name)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.tools)
-
     def get(self, name: str) -> KpiToolDef | None:
         return self._by_name.get(name)
 
@@ -156,10 +158,7 @@ def build_kpi_pool(seed: int) -> KpiToolPool:
         tools.append(
             KpiToolDef(
                 name=name,
-                description=(
-                    f"Return the {name.replace('_', ' ')} KPI ({unit}) for a "
-                    "geographic region."
-                ),
+                description=_description(name),
                 unit=unit,
                 lo=lo,
                 hi=hi,
@@ -187,29 +186,23 @@ def kpi_query(pool: KpiToolPool, tool_name: str, region: str) -> dict[str, Any]:
     }
 
 
-def kpi_tool_specs(pool: KpiToolPool) -> list[ToolSpec]:
-    return [
-        ToolSpec(t.name, t.description, (ParamSpec("region"),)) for t in pool.tools
-    ]
+def kpi_tool_specs() -> list[ToolSpec]:
+    region = (ParamSpec("region"),)
+    return [ToolSpec(name, _description(name), region) for name in KPI_TOOL_NAMES]
 
 
-def make_kpi_handlers(pool: KpiToolPool) -> dict[str, Any]:
-    def make(name: str):
-        def query(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
-            return ToolResult(content=kpi_query(pool, name, args["region"]))
+def make_kpi_handlers(pool: KpiToolPool) -> dict[str, Handler]:
+    def make(name: str) -> Handler:
+        return lambda args, session: ToolResult(content=kpi_query(pool, name, args["region"]))
 
-        return query
-
-    return {t.name: make(t.name) for t in pool.tools}
+    return {name: make(name) for name in KPI_TOOL_NAMES}
 
 
 # ---------------------------------------------------------------------------
 # Stress procedure generation
 
 
-def gen_stress_procedure(
-    pool: KpiToolPool, k: int, seed: int
-) -> tuple[Intent, Procedure]:
+def gen_stress_procedure(k: int, seed: int) -> tuple[Intent, Procedure]:
     """Pick k distinct KPI tools by seeded draw and fix their order.
 
     The intent text names the tools explicitly; the procedure binds the
@@ -218,7 +211,7 @@ def gen_stress_procedure(
     if k < 1 or k > POOL_SIZE:
         raise ValueError(f"procedure length {k} out of range 1..{POOL_SIZE}")
     rng = random.Random(stable_seed(seed, "stress", k))
-    tools = rng.sample(list(pool.names), k)
+    tools = rng.sample(KPI_TOOL_NAMES, k)
     region = f"region-{rng.randrange(1, 17)}"
     intent = Intent(
         intent_key=KPI_INTENT_KEY,

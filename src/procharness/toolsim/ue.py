@@ -1,13 +1,15 @@
 """Simulated UE IP allocation tools and their ground-truth procedure.
 
-All tools are deterministic given a fixture set and per-run session state,
-a ``Counter`` of DHCP leases handed out per family: each pool hands out
-sequential addresses within a run.
+Every handler is ``handler(arguments, session)`` and is deterministic
+given a fixture set and its run's session, a ``Counter`` of DHCP leases
+handed out per family: each pool hands out sequential addresses within a
+run.
 """
 
 from __future__ import annotations
 
 import ipaddress
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -24,7 +26,7 @@ from ..model import (
     ToolSpec,
     ValueKind,
 )
-from .host import CallContext, Handler, ToolResult
+from .host import Handler, ToolResult
 
 SESSION_TYPES = ("IPv4", "IPv6", "IPv4v6")
 
@@ -98,7 +100,7 @@ def _valid_assignment_address(address: str) -> bool:
 def make_ue_handlers(fixtures: Mapping[str, UeFixture]) -> dict[str, Any]:
     """Handlers for the five allocation tools, bound to a fixture set."""
 
-    def authorize(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
+    def authorize(args: Mapping[str, Any], session: Any) -> ToolResult:
         ue_id = args["ue_id"]
         session_type = args["session_type"]
         if session_type not in SESSION_TYPES:
@@ -117,14 +119,13 @@ def make_ue_handlers(fixtures: Mapping[str, UeFixture]) -> dict[str, Any]:
             content={"status": "authorized", "ue_id": ue_id, "session_type": session_type}
         )
 
-    def static_lookup(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
+    def static_lookup(args: Mapping[str, Any], session: Any) -> ToolResult:
         fixture = fixtures.get(args["ue_id"])
         static_ip = fixture.static_ip if fixture is not None else None
         return ToolResult(content={"static_ip": static_ip})
 
     def dhcp(family: str, base: ipaddress.IPv4Address | ipaddress.IPv6Address) -> Handler:
-        def allocate(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
-            leases = ctx.session
+        def allocate(args: Mapping[str, Any], leases: Counter) -> ToolResult:
             if leases[family] >= DHCP_POOL_SIZE:
                 return ToolResult(content={"error": f"{family} pool exhausted"}, is_error=True)
             leases[family] += 1
@@ -132,7 +133,7 @@ def make_ue_handlers(fixtures: Mapping[str, UeFixture]) -> dict[str, Any]:
 
         return allocate
 
-    def assign(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
+    def assign(args: Mapping[str, Any], session: Any) -> ToolResult:
         address = args["address"]
         if not _valid_assignment_address(address):
             return ToolResult(
@@ -160,17 +161,17 @@ def make_encapsulated_handler(fixtures: Mapping[str, UeFixture]):
     """Single tool that walks the full allocation procedure internally.
 
     Reacts to each internal tool's output to pick the next step, mirroring
-    what a well-behaved agent would do, and reports every internal call.
+    what a well-behaved agent would do, and reports every internal call. A
+    simulated tool takes no time, so every internal call sits at the start
+    of this one (offset 0) and lasts nothing.
     """
     handlers = make_ue_handlers(fixtures)
 
-    def run_procedure(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
+    def run_procedure(args: Mapping[str, Any], session: Any) -> ToolResult:
         internals: list[ToolCallRecord] = []
-        parent_start = ctx.clock.now_ms()
 
         def call(name: str, call_args: dict[str, Any]) -> ToolResult:
-            started = ctx.clock.now_ms() - parent_start
-            result = handlers[name](call_args, ctx)
+            result = handlers[name](call_args, session)
             internals.append(
                 ToolCallRecord(
                     step_index=0,  # the wire drops it; the client numbers the calls
@@ -178,8 +179,8 @@ def make_encapsulated_handler(fixtures: Mapping[str, UeFixture]):
                     arguments=call_args,
                     result=result.content,
                     success=not result.is_error,
-                    started_at=started,
-                    ended_at=ctx.clock.now_ms() - parent_start,
+                    started_at=0,
+                    ended_at=0,
                     origin=CallOrigin.TOOL_INTERNAL,
                 )
             )
@@ -225,22 +226,16 @@ def make_encapsulated_handler(fixtures: Mapping[str, UeFixture]):
     return run_procedure
 
 
-def make_decoy_handler(procedure_name: str):
-    def decoy(args: Mapping[str, Any], ctx: CallContext) -> ToolResult:
-        return ToolResult(
-            content={"error": f"procedure {procedure_name!r} is not available in this simulation"},
-            is_error=True,
-        )
-
-    return decoy
+def make_decoy_handler(procedure_name: str) -> Handler:
+    error = f"procedure {procedure_name!r} is not available in this simulation"
+    return lambda args, session: ToolResult(content={"error": error}, is_error=True)
 
 
 # ---------------------------------------------------------------------------
 # Tool specs
 
 
-def _session_type_param() -> ParamSpec:
-    return ParamSpec("session_type", ValueKind.ENUM, True, SESSION_TYPES)
+_SESSION_TYPE = ParamSpec("session_type", ValueKind.ENUM, True, SESSION_TYPES)
 
 
 def allocation_tool_specs() -> list[ToolSpec]:
@@ -249,7 +244,7 @@ def allocation_tool_specs() -> list[ToolSpec]:
         ToolSpec(
             AUTH_TOOL,
             "Validate a UE identifier and the requested session type.",
-            (ParamSpec("ue_id"), _session_type_param()),
+            (ParamSpec("ue_id"), _SESSION_TYPE),
         ),
         ToolSpec(
             STATIC_TOOL,
@@ -270,7 +265,7 @@ def allocation_tool_specs() -> list[ToolSpec]:
             REGISTRY_TOOL,
             "Finalize an allocation: notify the UE and record it in the network "
             "registry. For dual-stack sessions pass both addresses comma-separated.",
-            (ParamSpec("ue_id"), ParamSpec("address"), _session_type_param()),
+            (ParamSpec("ue_id"), ParamSpec("address"), _SESSION_TYPE),
         ),
     ]
 
@@ -283,7 +278,7 @@ def encapsulated_tool_specs() -> list[ToolSpec]:
             "Run the complete UE IP allocation procedure for a UE and session "
             "type: authorization, static lookup, DHCP if needed, and registry "
             "recording.",
-            (ParamSpec("ue_id"), _session_type_param()),
+            (ParamSpec("ue_id"), _SESSION_TYPE),
             scope=ToolScope.ENCAPSULATED,
             encapsulates=UE_INTENT_KEY,
         ),

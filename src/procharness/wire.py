@@ -4,7 +4,8 @@ The protocol is a minimal JSON-RPC-2.0-shaped HTTP POST exchange with two
 methods, ``tools/list`` and ``tools/call``. The run-session identifier
 travels in a request header so tool names stay clean. An in-process
 loopback transport shares the exact request-handling path with the HTTP
-server, JSON encoding aside, so both behave identically.
+server, JSON encoding aside, so both behave identically. A server keeps no
+clock: a simulated tool takes no time, and only a client times a call.
 
 The socket path keeps connections open (HTTP/1.1 keep-alive, RFC 9112
 section 9): a client transport holds one connection per server for the
@@ -23,7 +24,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 from urllib.parse import urlsplit
 
-from .model import CallOrigin, ToolCallRecord, VirtualClock, normalize_arguments
+from .model import CallOrigin, ToolCallRecord, normalize_arguments
 from .toolsim.host import ArgumentValidationError, ToolHost, ToolNotFoundError
 
 SESSION_HEADER = "X-Run-Session"
@@ -82,9 +83,7 @@ def _internal_from_wire(
     )
 
 
-def handle_rpc(
-    host: ToolHost, payload: Mapping[str, Any], session_id: str, clock: Any
-) -> dict[str, Any]:
+def handle_rpc(host: ToolHost, payload: Mapping[str, Any], session_id: str) -> dict[str, Any]:
     """Dispatch one request against a host. Shared by HTTP and loopback."""
     req_id = payload.get("id")
     if payload.get("jsonrpc") != "2.0" or "method" not in payload:
@@ -103,7 +102,7 @@ def handle_rpc(
         if not isinstance(arguments, Mapping):
             return _error(req_id, ERR_INVALID_PARAMS, "params.arguments must be an object")
         try:
-            outcome = host.call_tool(name, arguments, session_id, clock)
+            outcome = host.call_tool(name, arguments, session_id)
         except ToolNotFoundError as exc:
             return _error(req_id, ERR_TOOL_NOT_FOUND, str(exc), data={"name": name})
         except ArgumentValidationError as exc:
@@ -136,7 +135,6 @@ class _RpcRequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         host: ToolHost = self.server.tool_host  # type: ignore[attr-defined]
-        clock = self.server.clock  # type: ignore[attr-defined]
         session_id = self.headers.get(SESSION_HEADER, "default")
         length = int(self.headers.get("Content-Length", "0"))
         raw = self.rfile.read(length)
@@ -145,7 +143,7 @@ class _RpcRequestHandler(BaseHTTPRequestHandler):
         except json.JSONDecodeError:
             response = _error(None, ERR_PARSE, "request body is not valid JSON")
         else:
-            response = handle_rpc(host, payload, session_id, clock)
+            response = handle_rpc(host, payload, session_id)
         body = json.dumps(response).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -197,8 +195,6 @@ class ToolServer:
     def __init__(self, host: ToolHost, bind_host: str = "127.0.0.1", port: int = 0):
         self._httpd = _HttpServer((bind_host, port))
         self._httpd.tool_host = host  # type: ignore[attr-defined]
-        # simulated tools take no time, as in a scripted loopback run
-        self._httpd.clock = VirtualClock()  # type: ignore[attr-defined]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, args=(SERVE_POLL_S,), daemon=True
         )
@@ -322,7 +318,7 @@ class LoopbackTransport(_TransportBase):
             raise RuntimeError(f"no server {server_id} configured")
         # no JSON round trip: a handler sees what the socket path would decode
         # (tests/test_wire.py, test_handle_rpc_needs_no_json_round_trip)
-        return handle_rpc(host, payload, session_id, self.clock)
+        return handle_rpc(host, payload, session_id)
 
 
 class HttpTransport(_TransportBase):

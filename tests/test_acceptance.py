@@ -25,12 +25,12 @@ from procharness.model import (
     MonotonicClock,
     Outcome,
     TraceLevel,
-    VirtualClock,
     WrongToolKind,
     effective_trace,
 )
 from procharness.reference import reference_classify
 from procharness.runner import (
+    FLATTENED_REGISTRY,
     SCENARIO_A,
     SCENARIO_B,
     HarnessEnv,
@@ -38,6 +38,7 @@ from procharness.runner import (
     classify_archive,
     execute_run,
     run_batch,
+    visible_registry,
 )
 from procharness.toolsim import (
     SESSION_TYPES,
@@ -51,7 +52,6 @@ from procharness.toolsim import (
     make_encapsulated_handler,
     make_ue_handlers,
 )
-from procharness.toolsim.host import CallContext
 from procharness.wire import HttpTransport, LoopbackTransport, ToolServer
 
 TOOL_ALPHABET = (
@@ -172,7 +172,7 @@ def test_criterion_3_ground_truth_branch_coverage(fixtures):
             )
             result = handler(
                 {"ue_id": ue_id, "session_type": session_type},
-                CallContext(session=Counter(), clock=VirtualClock()),
+                Counter(),
             )
             assert tuple(c.tool_name for c in result.internal_calls) == procedure.tool_names
         elapsed = time.monotonic() - started
@@ -204,7 +204,7 @@ def test_criterion_4_reasoning_step_contract(contract_batch):
         }
         for approach, runs in docs.items():
             assert len(runs) == 50
-            registry = env.visible_registry(SCENARIO_A, approach)
+            registry = visible_registry(SCENARIO_A, approach)
             correct = 0
             for doc in runs:
                 assert n_llm_count(doc.run) == expected_turns[approach], approach
@@ -229,7 +229,7 @@ def test_criterion_5_latency_additivity(contract_batch):
         # encapsulated internals are inside the parent envelope, never added
         a4 = docs[Approach.A4][0].run
         assert latency_cost_ms(a4) == 3  # 2 reasoning turns + 1 issued call
-        flattened = effective_trace(a4, TraceLevel.FLATTENED, env.flattened_registry)
+        flattened = effective_trace(a4, TraceLevel.FLATTENED, FLATTENED_REGISTRY)
         assert flattened.length == 3
 
 
@@ -259,7 +259,7 @@ FAULT_EXPECTATIONS = [
 def test_criterion_6_fault_injection_classification():
     with criterion(6, "every fault program maps to its error class, 10/10 each"):
         env = HarnessEnv(HarnessConfig())
-        registry = env.visible_registry(SCENARIO_A, Approach.A1)
+        registry = visible_registry(SCENARIO_A, Approach.A1)
         for fault, outcome, subclass in FAULT_EXPECTATIONS:
             model = ModelConfig(model_id=f"scripted-{fault.kind.value}", fault=fault)
             for rep in range(1, 11):
@@ -285,7 +285,7 @@ def test_criterion_7_stress_protocol(tmp_path):
         assert len(pool.tools) == 100
         lengths = (5, 10, 20, 30, 40, 50)
         for k in lengths:
-            _, procedure = gen_stress_procedure(pool, k, 42)
+            _, procedure = gen_stress_procedure(k, 42)
             assert procedure.length == k
 
         # perfect scripted batch: 6 lengths x 30 runs
@@ -327,7 +327,7 @@ def test_criterion_7_stress_protocol(tmp_path):
         assert all(a > b for a, b in zip(rates, rates[1:])), correctness_by_k
 
         # the independent oracle agrees on all 360 stress verdicts
-        registry = HarnessEnv(config).visible_registry(SCENARIO_B, Approach.A1)
+        registry = visible_registry(SCENARIO_B, Approach.A1)
         for d in docs + faulty_docs:
             trace = effective_trace(d.run, TraceLevel.AGENT, registry)
             oracle = reference_classify(d.expected, trace, registry)
@@ -389,17 +389,15 @@ def test_criterion_8_wire_round_trip():
         # direct invocation, fresh session per argument set
         direct = {
             (tool, i): (
-                handlers[tool](
-                    args, CallContext(session=Counter(), clock=MonotonicClock())
-                )
+                handlers[tool](args, Counter())
             )
             for tool, cases in arg_sets.items()
             for i, args in enumerate(cases)
         }
 
-        loop_host = build_procedure_host(fixtures)
+        loop_host = build_procedure_host(fixtures, "procedures here")
         loopback = LoopbackTransport({2: loop_host}, MonotonicClock())
-        with ToolServer(build_procedure_host(fixtures)) as server:
+        with ToolServer(build_procedure_host(fixtures, "procedures here")) as server:
             http = HttpTransport({2: server.url}, MonotonicClock())
             try:
                 for tool, cases in arg_sets.items():
@@ -465,7 +463,7 @@ def test_criterion_10_live_model_smoke():
         env = HarnessEnv(HarnessConfig())
         doc = execute_run(env, RunCell(SCENARIO_A, Approach.A4, model, 3, 1))
         assert doc.run.trace.length > 0
-        registry = env.visible_registry(SCENARIO_A, Approach.A4)
+        registry = visible_registry(SCENARIO_A, Approach.A4)
         verdict = classify(
             doc.expected, effective_trace(doc.run, TraceLevel.AGENT, registry), registry
         )

@@ -27,7 +27,7 @@ from procharness.model import (
     effective_trace,
 )
 from procharness.classify import classify
-from procharness.runner import HarnessEnv, RunCell, SCENARIO_A, execute_run
+from procharness.runner import HarnessEnv, RunCell, SCENARIO_A, execute_run, visible_registry
 from procharness.config import HarnessConfig, ModelConfig
 from procharness.toolsim import (
     default_fixtures,
@@ -267,7 +267,7 @@ def test_scripted_perfect_run_structure():
 
 def test_scripted_fault_stop_after_classifies_premature():
     env, doc = _scripted_run(fault=FaultProgram(FaultKind.STOP_AFTER, step=2))
-    registry = env.visible_registry(SCENARIO_A, Approach.A1)
+    registry = visible_registry(SCENARIO_A, Approach.A1)
     trace = effective_trace(doc.run, TraceLevel.AGENT, registry)
     assert trace.tool_names == ("ue_authorization", "static_ip_retrieval")
     verdict = classify(doc.expected, trace, registry)
@@ -276,7 +276,7 @@ def test_scripted_fault_stop_after_classifies_premature():
 
 def test_scripted_fault_no_calls_classifies_empty():
     env, doc = _scripted_run(fault=FaultProgram(FaultKind.NO_CALLS))
-    registry = env.visible_registry(SCENARIO_A, Approach.A1)
+    registry = visible_registry(SCENARIO_A, Approach.A1)
     trace = effective_trace(doc.run, TraceLevel.AGENT, registry)
     verdict = classify(doc.expected, trace, registry)
     assert verdict.outcome is Outcome.NO_TOOL_CALLS

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import functools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +16,12 @@ from procharness.model import (
     WrongToolKind,
 )
 from procharness.reference import reference_classify
-from procharness.toolsim import build_kpi_host, build_kpi_pool, gen_stress_procedure
+from procharness.toolsim import (
+    KPI_SERVER_ID,
+    KPI_TOOL_NAMES,
+    SERVER_REGISTRIES,
+    gen_stress_procedure,
+)
 
 AUTH = "ue_authorization"
 STATIC = "static_ip_retrieval"
@@ -242,12 +245,6 @@ def test_premature_stop_implies_proper_prefix(
             assert step.satisfied_by(call.arguments)
 
 
-@functools.lru_cache(maxsize=None)
-def _kpi_setup(seed):
-    pool = build_kpi_pool(seed)
-    return pool, build_kpi_host(pool).registry
-
-
 def _edit(draw, calls, pool_names, procedure_names):
     """One random edit of a call list, in place."""
     action = draw(
@@ -279,19 +276,19 @@ def _edit(draw, calls, pool_names, procedure_names):
 
 @st.composite
 def stress_cases(draw):
-    """A stress procedure of k 1..100 from the real pool, the KPI host's
+    """A stress procedure of k 1..100 from the KPI tools, the KPI server's
     registry, and a trace of its fault-free calls edited by one fault
     program and by random swaps, drops, duplicates, renames, outside tools
     and wrong or missing regions."""
-    pool, registry = _kpi_setup(draw(st.integers(0, 3)))
+    registry = SERVER_REGISTRIES[KPI_SERVER_ID]
     k = draw(st.integers(1, 100))
-    intent, procedure = gen_stress_procedure(pool, k, draw(st.integers(0, 1000)))
+    intent, procedure = gen_stress_procedure(k, draw(st.integers(0, 1000)))
     region = intent.structured["region"]
     calls = [(name, {"region": region}) for name in intent.structured["required_kpis"]]
     fault = FaultProgram(
         draw(st.sampled_from(list(FaultKind))),
         step=draw(st.integers(1, k)),
-        tool=draw(st.sampled_from(pool.names)),
+        tool=draw(st.sampled_from(KPI_TOOL_NAMES)),
         prob=draw(st.sampled_from([0.0, 0.02, 0.2])),
         seed=draw(st.integers(0, 100)),
     )
@@ -300,7 +297,7 @@ def stress_cases(draw):
     except ValueError:
         pass  # the program does not fit these calls; keep them as they are
     for _ in range(draw(st.integers(0, 3))):
-        _edit(draw, calls, pool.names, procedure.tool_names)
+        _edit(draw, calls, KPI_TOOL_NAMES, procedure.tool_names)
     trace = ObservedTrace(
         tuple(
             ToolCallRecord(i, name, args, None, True, i, i)

@@ -63,28 +63,13 @@ GOLDEN_WIRE = {
     "tools/list 1": "ea09599864ad540ed1b6bc4f2f192c7fc5a6fd78f7ce3f9236a506f9ce30f07d",
     "tools/list 2": "f4a9574b750782cef5134a6bd9b30bc2261d7fab2e2fa509829a81e301b43d03",
     "tools/list 3": "ecf5cfa6d2ca309fa9014ac776b15d065e85bd514c9b84f38cb6034222f65890",
-    "tools/call ue_ip_allocation": "62f155bb97f4ff56d73e98daac5e44db583fd696d68e5075669a8bcdca800bca",
+    "tools/call ue_ip_allocation": "a2e4ab20216a538540cf388226165b593164a44f611a846569df2807516ee4c9",
     "tools/call ue_ip_allocation http": "a2e4ab20216a538540cf388226165b593164a44f611a846569df2807516ee4c9",
 }
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-class _TickClock:
-    """Moves one millisecond on every reading, so that the internal calls
-    of an encapsulated tool get distinct, non-zero offsets and durations."""
-
-    def __init__(self) -> None:
-        self._now = 1000
-
-    def now_ms(self) -> int:
-        self._now += 1
-        return self._now
-
-    def advance(self, ms: int) -> None:
-        self._now += ms
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +111,6 @@ def test_wire_replies_are_byte_identical(golden_config_path):
             env.hosts[server_id],
             {"jsonrpc": "2.0", "id": server_id, "method": "tools/list"},
             "discovery",
-            _TickClock(),
         )
         got[f"tools/list {server_id}"] = _sha256(json.dumps(reply).encode("utf-8"))
     call = {
@@ -138,7 +122,7 @@ def test_wire_replies_are_byte_identical(golden_config_path):
             "arguments": {"ue_id": "ue-002", "session_type": "IPv4v6"},
         },
     }
-    reply = handle_rpc(env.hosts[1], call, "golden-run", _TickClock())
+    reply = handle_rpc(env.hosts[1], call, "golden-run")
     assert len(reply["result"]["internal_calls"]) == 5
     got["tools/call ue_ip_allocation"] = _sha256(json.dumps(reply).encode("utf-8"))
     # the same call on a session of its own, through a started server

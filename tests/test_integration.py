@@ -34,6 +34,7 @@ from procharness.runner import (
     classify_archive,
     execute_run,
     run_batch,
+    visible_registry,
     write_reports,
 )
 from procharness.toolsim import (
@@ -396,7 +397,7 @@ def test_remote_backend_retries_then_succeeds(fake_endpoint, monkeypatch):
     run = doc.run
     assert run.terminated_reason is TerminatedReason.MODEL_FINISHED
     assert run.final_text == "allocation recorded"
-    registry = env.visible_registry(SCENARIO_A, Approach.A4)
+    registry = visible_registry(SCENARIO_A, Approach.A4)
     verdict = classify(
         doc.expected, effective_trace(run, TraceLevel.AGENT, registry), registry
     )
@@ -422,7 +423,7 @@ def test_remote_backend_exhausted_retries_is_backend_error(fake_endpoint, monkey
     assert doc.run.terminated_reason is TerminatedReason.BACKEND_ERROR
     assert len(server.requests) == 3
     assert sleeps == [0.5, 1.0]  # no backoff after the last attempt
-    registry = env.visible_registry(SCENARIO_A, Approach.A1)
+    registry = visible_registry(SCENARIO_A, Approach.A1)
     verdict = classify(
         doc.expected,
         effective_trace(doc.run, TraceLevel.AGENT, registry),

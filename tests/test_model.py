@@ -33,7 +33,7 @@ from procharness.toolsim import (
     allocation_tool_specs,
     encapsulated_tool_specs,
 )
-from procharness.toolsim.host import make_repository_tool
+from procharness.toolsim.host import REPOSITORY_SPEC
 
 
 def test_tool_name_must_be_identifier_like():
@@ -127,8 +127,7 @@ def _a4_style_run(records):
 
 @pytest.fixture(scope="module")
 def mixed_registry():
-    meta_spec, _ = make_repository_tool("text")
-    return ToolRegistry(allocation_tool_specs() + encapsulated_tool_specs() + [meta_spec])
+    return ToolRegistry(allocation_tool_specs() + encapsulated_tool_specs() + [REPOSITORY_SPEC])
 
 
 def test_effective_trace_agent_level_filters_meta_and_internals(mixed_registry):

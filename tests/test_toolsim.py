@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from procharness.model import ModelError, VirtualClock
+from procharness.model import ModelError, ParamSpec, ToolSpec
 from procharness.toolsim import (
     AUTH_TOOL,
     DHCPV4_TOOL,
@@ -13,8 +13,10 @@ from procharness.toolsim import (
     REGISTRY_TOOL,
     SESSION_TYPES,
     STATIC_TOOL,
+    KPI_SERVER_ID,
     KPI_TOOL_NAMES,
     POOL_SIZE,
+    SERVER_SPECS,
     UeFixture,
     allocation_plan,
     build_kpi_pool,
@@ -22,16 +24,12 @@ from procharness.toolsim import (
     gen_stress_procedure,
     ground_truth_procedure,
     kpi_query,
+    kpi_tool_specs,
     make_allocation_intent,
     make_encapsulated_handler,
     make_ue_handlers,
 )
-from procharness.toolsim.host import CallContext
 from procharness.toolsim.ue import DHCP_POOL_SIZE, static_family_compatible
-
-
-def _ctx():
-    return CallContext(session=Counter(), clock=VirtualClock())
 
 
 @pytest.fixture()
@@ -44,56 +42,56 @@ def handlers(fixtures):
 
 
 def test_authorization_accepts_configured_type(handlers):
-    result = handlers[AUTH_TOOL]({"ue_id": "ue-001", "session_type": "IPv4"}, _ctx())
+    result = handlers[AUTH_TOOL]({"ue_id": "ue-001", "session_type": "IPv4"}, Counter())
     assert result.content["status"] == "authorized"
 
 
 def test_authorization_rejects_unknown_ue(handlers):
-    result = handlers[AUTH_TOOL]({"ue_id": "ue-999", "session_type": "IPv4"}, _ctx())
+    result = handlers[AUTH_TOOL]({"ue_id": "ue-999", "session_type": "IPv4"}, Counter())
     assert result.content == {"status": "rejected", "reason": "unknown_ue"}
 
 
 def test_authorization_rejects_disallowed_type(handlers):
-    result = handlers[AUTH_TOOL]({"ue_id": "ue-001", "session_type": "IPv6"}, _ctx())
+    result = handlers[AUTH_TOOL]({"ue_id": "ue-001", "session_type": "IPv6"}, Counter())
     assert result.content == {"status": "rejected", "reason": "session_type_not_allowed"}
 
 
 def test_authorization_malformed_type_is_tool_error(handlers):
-    result = handlers[AUTH_TOOL]({"ue_id": "ue-001", "session_type": "both"}, _ctx())
+    result = handlers[AUTH_TOOL]({"ue_id": "ue-001", "session_type": "both"}, Counter())
     assert result.is_error
 
 
 def test_static_lookup_present_absent_unknown(handlers):
     assert (
-        handlers[STATIC_TOOL]({"ue_id": "ue-001"}, _ctx()).content["static_ip"]
+        handlers[STATIC_TOOL]({"ue_id": "ue-001"}, Counter()).content["static_ip"]
         == "10.0.0.42"
     )
-    assert handlers[STATIC_TOOL]({"ue_id": "ue-002"}, _ctx()).content["static_ip"] is None
-    result = handlers[STATIC_TOOL]({"ue_id": "ue-999"}, _ctx())
+    assert handlers[STATIC_TOOL]({"ue_id": "ue-002"}, Counter()).content["static_ip"] is None
+    result = handlers[STATIC_TOOL]({"ue_id": "ue-999"}, Counter())
     assert result.content["static_ip"] is None and not result.is_error
 
 
 def test_dhcp_pools_are_sequential_per_run(handlers):
-    ctx = _ctx()
-    assert handlers[DHCPV4_TOOL]({"ue_id": "ue-002"}, ctx).content["address"] == "100.64.0.1"
-    assert handlers[DHCPV4_TOOL]({"ue_id": "ue-002"}, ctx).content["address"] == "100.64.0.2"
-    assert handlers[DHCPV6_TOOL]({"ue_id": "ue-002"}, ctx).content["address"] == "2001:db8::1"
+    session = Counter()
+    assert handlers[DHCPV4_TOOL]({"ue_id": "ue-002"}, session).content["address"] == "100.64.0.1"
+    assert handlers[DHCPV4_TOOL]({"ue_id": "ue-002"}, session).content["address"] == "100.64.0.2"
+    assert handlers[DHCPV6_TOOL]({"ue_id": "ue-002"}, session).content["address"] == "2001:db8::1"
     # fresh session restarts the pool
-    assert handlers[DHCPV4_TOOL]({"ue_id": "ue-002"}, _ctx()).content["address"] == "100.64.0.1"
+    assert handlers[DHCPV4_TOOL]({"ue_id": "ue-002"}, Counter()).content["address"] == "100.64.0.1"
 
 
 def test_dhcp_pool_exhaustion(handlers):
-    ctx = _ctx()
+    session = Counter()
     for _ in range(DHCP_POOL_SIZE):
-        assert not handlers[DHCPV4_TOOL]({"ue_id": "ue-002"}, ctx).is_error
-    assert handlers[DHCPV4_TOOL]({"ue_id": "ue-002"}, ctx).is_error
+        assert not handlers[DHCPV4_TOOL]({"ue_id": "ue-002"}, session).is_error
+    assert handlers[DHCPV4_TOOL]({"ue_id": "ue-002"}, session).is_error
 
 
 def test_assignment_appends_to_registry(handlers):
-    ctx = _ctx()
+    session = Counter()
     for address in ("10.0.0.42", "100.64.0.9,2001:db8::1"):
         args = {"ue_id": "ue-001", "address": address, "session_type": "IPv4"}
-        result = handlers[REGISTRY_TOOL](args, ctx)
+        result = handlers[REGISTRY_TOOL](args, session)
         assert not result.is_error
         assert result.content["status"] == "assigned"
         assert result.content["address"] == address
@@ -101,7 +99,7 @@ def test_assignment_appends_to_registry(handlers):
 
 def test_assignment_rejects_bad_address(handlers):
     result = handlers[REGISTRY_TOOL](
-        {"ue_id": "ue-001", "address": "not-an-ip", "session_type": "IPv4"}, _ctx()
+        {"ue_id": "ue-001", "address": "not-an-ip", "session_type": "IPv4"}, Counter()
     )
     assert result.is_error
 
@@ -109,7 +107,7 @@ def test_assignment_rejects_bad_address(handlers):
 def test_assignment_accepts_dual_stack_address(handlers):
     result = handlers[REGISTRY_TOOL](
         {"ue_id": "ue-002", "address": "100.64.0.1,2001:db8::1", "session_type": "IPv4v6"},
-        _ctx(),
+        Counter(),
     )
     assert not result.is_error
 
@@ -188,7 +186,7 @@ def test_encapsulated_internals_match_ground_truth_everywhere(fixtures):
     for ue_id, session_type in cases:
         intent = make_allocation_intent(ue_id, session_type)
         expected = ground_truth_procedure(intent, fixtures)
-        result = handler({"ue_id": ue_id, "session_type": session_type}, _ctx())
+        result = handler({"ue_id": ue_id, "session_type": session_type}, Counter())
         internal_names = tuple(c.tool_name for c in result.internal_calls)
         assert internal_names == expected.tool_names, (ue_id, session_type)
         # internal arguments satisfy the expected constraints step by step
@@ -198,10 +196,10 @@ def test_encapsulated_internals_match_ground_truth_everywhere(fixtures):
 
 def test_encapsulated_final_payload_matches_plan(fixtures):
     handler = make_encapsulated_handler(fixtures)
-    result = handler({"ue_id": "ue-001", "session_type": "IPv4"}, _ctx())
+    result = handler({"ue_id": "ue-001", "session_type": "IPv4"}, Counter())
     assert result.content["status"] == "assigned"
     assert result.content["address"] == "10.0.0.42"
-    rejected = handler({"ue_id": "ue-999", "session_type": "IPv4"}, _ctx())
+    rejected = handler({"ue_id": "ue-999", "session_type": "IPv4"}, Counter())
     assert rejected.content["status"] == "rejected"
     assert not rejected.is_error
 
@@ -220,11 +218,19 @@ def test_pool_size_and_required_tools():
     pool = build_kpi_pool(42)
     assert len(pool.tools) == POOL_SIZE == 100
     for required in ("avg_cell_throughput", "amf_load", "handover_success_rate"):
-        assert required in pool.names
+        assert required in KPI_TOOL_NAMES
 
 
 def test_pool_name_list_is_unique():
     assert len(set(KPI_TOOL_NAMES)) == len(KPI_TOOL_NAMES) == 100
+
+
+def test_kpi_tool_list_is_the_same_for_every_seed():
+    # the seed sets the KPI values, not the tools a server lists
+    for seed in (1, 987654):
+        pool = build_kpi_pool(seed)
+        specs = [ToolSpec(t.name, t.description, (ParamSpec("region"),)) for t in pool.tools]
+        assert specs == kpi_tool_specs() == list(SERVER_SPECS[KPI_SERVER_ID])
 
 
 def test_pool_deterministic_under_seed():
@@ -250,7 +256,7 @@ def test_kpi_query_unknown_tool():
 
 def test_kpi_abnormal_flag_matches_threshold():
     pool = build_kpi_pool(42)
-    for name in pool.names[:20]:
+    for name in KPI_TOOL_NAMES[:20]:
         tool = pool.get(name)
         result = kpi_query(pool, name, "region-3")
         if tool.high_is_bad:
@@ -260,16 +266,14 @@ def test_kpi_abnormal_flag_matches_threshold():
 
 
 def test_stress_generation_deterministic():
-    pool = build_kpi_pool(42)
-    first = gen_stress_procedure(pool, 5, 1)
-    second = gen_stress_procedure(pool, 5, 1)
+    first = gen_stress_procedure(5, 1)
+    second = gen_stress_procedure(5, 1)
     assert first[0] == second[0]
     assert first[1] == second[1]
 
 
 def test_stress_generation_distinct_tools():
-    pool = build_kpi_pool(42)
-    intent, procedure = gen_stress_procedure(pool, 50, 42)
+    intent, procedure = gen_stress_procedure(50, 42)
     names = procedure.tool_names
     assert len(names) == 50 == len(set(names))
     assert intent.structured["required_kpis"] == list(names)
@@ -278,11 +282,10 @@ def test_stress_generation_distinct_tools():
 
 
 def test_stress_generation_bounds():
-    pool = build_kpi_pool(42)
     with pytest.raises(ValueError):
-        gen_stress_procedure(pool, 101, 42)
+        gen_stress_procedure(101, 42)
     with pytest.raises(ValueError):
-        gen_stress_procedure(pool, 0, 42)
+        gen_stress_procedure(0, 42)
 
 
 def test_default_fixtures_cover_documented_set():

@@ -151,18 +151,16 @@ def test_sessions_do_not_share_state(loopback):
 
 
 def test_handle_rpc_error_codes(procedure_host):
-    clock = MonotonicClock()
-    bad_version = handle_rpc(procedure_host, {"id": 1, "method": "tools/list"}, "s", clock)
+    bad_version = handle_rpc(procedure_host, {"id": 1, "method": "tools/list"}, "s")
     assert bad_version["error"]["code"] == -32600
     unknown_method = handle_rpc(
-        procedure_host, {"jsonrpc": "2.0", "id": 2, "method": "nope"}, "s", clock
+        procedure_host, {"jsonrpc": "2.0", "id": 2, "method": "nope"}, "s"
     )
     assert unknown_method["error"]["code"] == -32601
     not_found = handle_rpc(
         procedure_host,
         {"jsonrpc": "2.0", "id": 3, "method": "tools/call", "params": {"name": "foo"}},
         "s",
-        clock,
     )
     assert not_found["error"]["code"] == ERR_TOOL_NOT_FOUND
     bad_args = handle_rpc(
@@ -174,13 +172,12 @@ def test_handle_rpc_error_codes(procedure_host):
             "params": {"name": AUTH_TOOL, "arguments": {"ue_id": "ue-001"}},
         },
         "s",
-        clock,
     )
     assert bad_args["error"]["code"] == ERR_INVALID_PARAMS
 
 
 def _raising_host():
-    def boom(args, ctx):
+    def boom(args, session):
         raise RuntimeError("kaput")
 
     return ToolHost([ToolSpec("boom", "Always raises.")], {"boom": boom})
@@ -195,12 +192,12 @@ def _reply_error(reply):
 
 
 def _non_string_name(monkeypatch):
-    return _reply_error(handle_rpc(_raising_host(), _call(5), "s", VirtualClock()))
+    return _reply_error(handle_rpc(_raising_host(), _call(5), "s"))
 
 
 def _handler_raises(monkeypatch):
     host = _raising_host()
-    reply = handle_rpc(host, _call("boom"), "s", VirtualClock())
+    reply = handle_rpc(host, _call("boom"), "s")
     (record,) = LoopbackTransport({1: host}, VirtualClock()).call_tool(1, "boom", {}, "s")
     assert not record.success
     assert record.result == {"error": reply["error"]["message"]}
@@ -245,7 +242,7 @@ def _http_500(monkeypatch):
 
 
 def _failed_discovery(monkeypatch):
-    def list_refused(host, payload, session_id, clock):
+    def list_refused(host, payload, session_id):
         return wire._error(payload["id"], ERR_INTERNAL, "list refused")
 
     monkeypatch.setattr(wire, "handle_rpc", list_refused)
@@ -366,8 +363,8 @@ def test_handle_rpc_needs_no_json_round_trip(every_host, data):
     sent = json.dumps(payload)  # as HttpTransport encodes it, key order kept
     # a session of its own per side: DHCP cursors start from the same place
     n = next(_SESSIONS)
-    direct = handle_rpc(host, payload, f"direct-{n}", VirtualClock())
-    decoded = handle_rpc(host, json.loads(sent), f"decoded-{n}", VirtualClock())
+    direct = handle_rpc(host, payload, f"direct-{n}")
+    decoded = handle_rpc(host, json.loads(sent), f"decoded-{n}")
     assert json.dumps(direct, sort_keys=True) == json.dumps(decoded, sort_keys=True)
     assert json.dumps(payload) == sent
 
@@ -419,7 +416,6 @@ def test_wire_field_names(procedure_host):
             },
         },
         "s",
-        MonotonicClock(),
     )
     assert set(response) == {"jsonrpc", "id", "result"}
     assert set(response["result"]) == {"content", "is_error"}
@@ -482,7 +478,7 @@ def test_http_server_round_trip(fixtures):
 
 
 def test_http_session_isolation_via_header(fixtures):
-    host = build_procedure_host(fixtures, repository_text=None)
+    host = build_procedure_host(fixtures, repository_text="procedures here")
     with ToolServer(host) as server:
         transport = HttpTransport({2: server.url}, MonotonicClock())
         try:
@@ -503,7 +499,7 @@ def test_http_transport_failure_is_failed_call():
 
 
 def test_closing_an_idle_server_is_quick(fixtures):
-    server = ToolServer(build_procedure_host(fixtures, repository_text=None)).start()
+    server = ToolServer(build_procedure_host(fixtures, repository_text="procedures here")).start()
     time.sleep(0.1)  # let the accept loop settle into its wait
     started = time.perf_counter()
     server.close()
@@ -517,7 +513,7 @@ def test_session_header_name():
 def test_http_transport_keeps_one_connection_until_closed(
     fixtures, accepted_connections
 ):
-    host = build_procedure_host(fixtures, repository_text=None)
+    host = build_procedure_host(fixtures, repository_text="procedures here")
     with ToolServer(host) as server:
         transport = HttpTransport({2: server.url}, MonotonicClock())
         transport.list_tools(2)
@@ -539,7 +535,7 @@ def test_http_transport_keeps_one_connection_until_closed(
 
 
 def test_closed_server_stops_serving_open_connections(fixtures):
-    host = build_procedure_host(fixtures, repository_text=None)
+    host = build_procedure_host(fixtures, repository_text="procedures here")
     server = ToolServer(host).start()
     transport = HttpTransport({2: server.url}, MonotonicClock(), timeout_s=2.0)
     try:
@@ -558,9 +554,7 @@ class _Http10Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):  # noqa: N802 (http.server API)
         payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        response = handle_rpc(
-            self.server.tool_host, payload, self.headers[SESSION_HEADER], MonotonicClock()
-        )
+        response = handle_rpc(self.server.tool_host, payload, self.headers[SESSION_HEADER])
         body = json.dumps(response).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -576,7 +570,7 @@ def test_http_transport_reconnects_to_a_closing_http10_server(
     fixtures, accepted_connections
 ):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Http10Handler)
-    server.tool_host = build_procedure_host(fixtures, repository_text=None)
+    server.tool_host = build_procedure_host(fixtures, repository_text="procedures here")
     thread = threading.Thread(
         target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True
     )
@@ -584,7 +578,7 @@ def test_http_transport_reconnects_to_a_closing_http10_server(
     host, port = server.server_address[:2]
     transport = HttpTransport({2: f"http://{host}:{port}"}, MonotonicClock(), timeout_s=2.0)
     try:
-        assert len(transport.list_tools(2)) == 5
+        assert len(transport.list_tools(2)) == 6
         calls = [
             transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")[0]
             for _ in range(3)

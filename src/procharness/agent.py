@@ -274,11 +274,14 @@ class RemoteChatBackend:
 
     Built on ``urllib.request``: it speaks HTTPS and honours the
     ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY`` variables. Its runs carry
-    the config entry's ``model_id``; the request names ``config.model``."""
+    the config entry's ``model_id``; the request names ``config.model``.
+    A backend serves one run, which passes the same descriptor list on
+    every turn, so it converts that list once."""
 
     def __init__(self, config: RemoteEndpointConfig, model_id: str) -> None:
         self.config = config
         self.model_id = model_id
+        self._chat_tools: tuple[Any, list[dict[str, Any]]] = (None, [])
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -298,7 +301,9 @@ class RemoteChatBackend:
         if self.config.max_output_tokens is not None:
             payload["max_tokens"] = self.config.max_output_tokens
         if tools:
-            payload["tools"] = [descriptor_to_chat_tool(d) for d in tools]
+            if self._chat_tools[0] is not tools:
+                self._chat_tools = (tools, [descriptor_to_chat_tool(d) for d in tools])
+            payload["tools"] = self._chat_tools[1]
 
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         data = json.dumps(payload).encode("utf-8")

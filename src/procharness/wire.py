@@ -83,13 +83,18 @@ def _internal_from_wire(
     )
 
 
-def handle_rpc(host: ToolHost, payload: Mapping[str, Any], session_id: str) -> dict[str, Any]:
-    """Dispatch one request against a host. Shared by HTTP and loopback."""
+def handle_rpc(host: ToolHost, payload: Any, session_id: str) -> dict[str, Any]:
+    """Dispatch one decoded request body against a host. Shared by HTTP and
+    loopback; every body gets a reply."""
+    if not isinstance(payload, Mapping):
+        return _error(None, ERR_INVALID_REQUEST, "request must be a JSON object")
     req_id = payload.get("id")
     if payload.get("jsonrpc") != "2.0" or "method" not in payload:
         return _error(req_id, ERR_INVALID_REQUEST, "not a jsonrpc 2.0 request")
     method = payload["method"]
     params = payload.get("params") or {}
+    if not isinstance(params, Mapping):
+        return _error(req_id, ERR_INVALID_PARAMS, "params must be an object")
 
     if method == "tools/list":
         return _result(req_id, {"tools": host.list_tools()})
@@ -140,7 +145,7 @@ class _RpcRequestHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not UTF-8, or not JSON
             response = _error(None, ERR_PARSE, "request body is not valid JSON")
         else:
             response = handle_rpc(host, payload, session_id)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import contextlib
 import http.client
 import itertools
 import json
+import socket
 import threading
 import time
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -594,3 +597,329 @@ def test_http_transport_reconnects_to_a_closing_http10_server(
         transport.close()
         server.shutdown()
         server.server_close()
+
+
+# ---------------------------------------------------------------------------
+# HTTP framing on a raw socket
+
+_VALID_CALL = json.dumps(
+    {
+        "jsonrpc": "2.0",
+        "id": 1,
+        "method": "tools/call",
+        "params": {"name": AUTH_TOOL, "arguments": {"ue_id": "ue-001", "session_type": "IPv4"}},
+    }
+).encode("utf-8")
+
+
+def _post(body, length=None):
+    length = len(body) if length is None else length
+    return b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (length, body)
+
+
+def _read_to_eof(sock):
+    chunks = []
+    try:
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    except ConnectionResetError:
+        pass  # the server closed on request bytes it did not read
+    return b"".join(chunks)
+
+
+def _exchange(address, data):
+    """Send raw request bytes, end the sending side, and read until the
+    server closes."""
+    with socket.create_connection(address, timeout=2.0) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        return _read_to_eof(sock)
+
+
+def _replies(data):
+    """The (status, headers, body) of each HTTP reply in ``data``, in order."""
+    replies = []
+    while data:
+        head, sep, data = data.partition(b"\r\n\r\n")
+        assert sep, f"reply head cut short: {head!r}"
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {k.strip().lower(): v.strip() for k, _, v in (h.partition(":") for h in lines)}
+        length = int(headers.get("content-length", 0))
+        assert len(data) >= length, "reply body cut short"
+        replies.append((int(status_line.split()[1]), headers, data[:length]))
+        data = data[length:]
+    return replies
+
+
+def _authorized(address, request=_post(_VALID_CALL)):
+    (reply,) = _replies(_exchange(address, request))
+    return json.loads(reply[2])["result"]["content"]["status"] == "authorized"
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        (b"POST / HTTP/1.1\r\n\r\n", 411),
+        (b"POST / HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}", 400),
+        (b"POST / HTTP/1.1\r\nContent-Length: -2\r\n\r\n{}", 400),
+        (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", 411),
+        (b"POST / HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n", 413),
+        (_post(b"{}", length=10), 400),
+        (b"POST / HTTP/1.1\r\n" + b"X-Junk: 1\r\n" * 100 + b"\r\n", 431),
+        (b"POST / HTTP/1.1\r\nX-Junk: " + b"1" * 65536 + b"\r\n\r\n", 431),
+        (b"POST / HTTP/2.0\r\n\r\n", 400),
+    ],
+    ids=[
+        "no length",
+        "non-numeric length",
+        "negative length",
+        "chunked",
+        "over 1 MiB",
+        "body shorter than its length",
+        "100 header fields",
+        "header line over 64 KiB",
+        "not HTTP/1.x",
+    ],
+)
+def test_server_refuses_bad_framing_and_closes(procedure_host, capfd, request_bytes, status):
+    with ToolServer(procedure_host) as server:
+        # one reply and then the close: _exchange reads to the end
+        (reply,) = _replies(_exchange(server.address, request_bytes))
+        assert _authorized(server.address)
+    assert (reply[0], reply[1]["connection"]) == (status, "close")
+    assert capfd.readouterr().err == ""
+
+
+def test_server_reads_99_header_fields(procedure_host):
+    # http.server's limit: 100 lines, the blank line that ends them included
+    request = _post(_VALID_CALL).replace(b"\r\n", b"\r\n" + b"X-Junk: 1\r\n" * 98, 1)
+    with ToolServer(procedure_host) as server:
+        assert _authorized(server.address, request)
+
+
+def test_server_answers_expect_100_continue(procedure_host):
+    head, body = _post(_VALID_CALL).split(b"\r\n\r\n", 1)
+    with ToolServer(procedure_host) as server:
+        with socket.create_connection(server.address, timeout=2.0) as sock:
+            sock.sendall(head + b"\r\nExpect: 100-continue\r\n\r\n")
+            # the body waits for the interim reply, so the reply must leave now
+            assert sock.recv(64) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            sock.shutdown(socket.SHUT_WR)
+            (reply,) = _replies(_read_to_eof(sock))
+    assert json.loads(reply[2])["result"]["content"]["status"] == "authorized"
+
+
+_FUZZ_HEADER_LINES = st.lists(
+    st.sampled_from(
+        [
+            b"Expect: 100-continue",
+            b"Connection: close",
+            b"Transfer-Encoding: chunked",
+            b"Content-Length: 7",
+            b"X-Run-Session: fuzz",
+            b"no colon",
+            b": no name",
+        ]
+    )
+    | st.binary(max_size=24),
+    max_size=4,
+)
+_FUZZ_BODIES = _JSON_VALUES.map(lambda v: json.dumps(v).encode("utf-8")) | st.binary(max_size=40)
+_FUZZ_LENGTHS = (
+    st.just("exact")
+    | st.integers(0, 80)
+    | st.sampled_from([None, b"", b"abc", b"-1", b"+5", b"1e3", b"\xb2", b"99999999"])
+)
+
+
+def _is_rpc_reply(body):
+    reply = json.loads(body)
+    return reply["jsonrpc"] == "2.0" and ("error" in reply) != ("result" in reply)
+
+
+def test_fuzzed_requests_never_break_the_server(fixtures, capfd):
+    # each request gets a JSON-RPC reply, or an HTTP 4xx and then the close
+    with ToolServer(build_procedure_host(fixtures, repository_text="procedures here")) as server:
+
+        @settings(max_examples=500, deadline=None)
+        @given(header_lines=_FUZZ_HEADER_LINES, body=_FUZZ_BODIES, length=_FUZZ_LENGTHS)
+        def exchange(header_lines, body, length):
+            if length == "exact":
+                length = b"%d" % len(body)
+            elif isinstance(length, int):
+                length = b"%d" % length
+            if length is not None:
+                header_lines = header_lines + [b"Content-Length: " + length]
+            head = b"".join(line + b"\r\n" for line in [b"POST / HTTP/1.1", *header_lines])
+            replies = _replies(_exchange(server.address, head + b"\r\n" + body))
+            *answered, (status, headers, last) = [r for r in replies if r[0] != 100]
+            assert all(s == 200 and _is_rpc_reply(b) for s, _, b in answered)
+            assert (status == 200 and _is_rpc_reply(last)) or (
+                400 <= status < 500 and headers["connection"] == "close"
+            )
+
+        exchange()
+        assert _authorized(server.address)
+    assert capfd.readouterr().err == ""
+
+
+def test_kept_alive_calls_do_not_wait_for_the_timeout(procedure_host):
+    # a client that reads past a reply's Content-Length waits out timeout_s
+    with ToolServer(procedure_host) as server:
+        transport = HttpTransport({2: server.url}, MonotonicClock(), timeout_s=1.0)
+        try:
+            started = time.perf_counter()
+            calls = [transport.call_tool(2, AUTH_TOOL, {}, "s")[0] for _ in range(5)]
+            elapsed = time.perf_counter() - started
+        finally:
+            transport.close()
+    assert not any(c.success for c in calls)  # -32602: session_type is missing
+    assert elapsed < 1.0
+
+
+def test_closing_a_server_with_an_idle_kept_alive_connection_is_quick(procedure_host):
+    # an idle kept-alive connection's handler waits in readline, and
+    # server_close joins every handler thread that is not a daemon
+    server = ToolServer(procedure_host).start()
+    transport = HttpTransport({2: server.url}, MonotonicClock(), timeout_s=2.0)
+    closer = threading.Thread(target=server.close, daemon=True)
+    try:
+        transport.list_tools(2)
+        closer.start()
+        closer.join(0.25)
+        closed_in_time = not closer.is_alive()
+    finally:
+        transport.close()  # ends the idle connection, so a blocked close returns
+    closer.join(2.0)
+    assert closed_in_time and not closer.is_alive()
+
+
+def test_urllib_posts_to_the_server(procedure_host):
+    with ToolServer(procedure_host) as server:
+        request = urllib.request.Request(
+            server.url, _VALID_CALL, {"Content-Type": "application/json", SESSION_HEADER: "s"}
+        )
+        with urllib.request.urlopen(request, timeout=2.0) as response:
+            reply = json.loads(response.read())
+    assert reply["result"]["content"]["status"] == "authorized"
+
+
+def _read_request(conn):
+    with conn.makefile("rb") as rfile:
+        head = b""
+        while not head.endswith(b"\r\n\r\n"):
+            line = rfile.readline()
+            if not line:
+                return head
+            head += line
+        length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+        return head + rfile.read(length)
+
+
+def _reply_ok(conn, received):
+    received.append(_read_request(conn))
+    body = json.dumps({"jsonrpc": "2.0", "id": 1, "result": {"content": "ok", "is_error": False}})
+    conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body.encode()))
+    # wait for the client to close its side, as a kept-alive server does
+    conn.recv(1)
+
+
+def _short_body_then_stall(conn, received):
+    received.append(_read_request(conn))
+    conn.sendall(b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"jsonrpc"')
+    conn.recv(1)  # stalls until the client gives up and closes
+
+
+def _close_without_reply(conn, received):
+    received.append(_read_request(conn))
+
+
+@contextlib.contextmanager
+def _scripted_server(*answers):
+    """A TCP server that serves its i-th connection with ``answers[i]``, one
+    connection at a time; yields its URL and the requests it received."""
+    received = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5.0)
+
+        def serve():
+            for answer in answers:
+                conn, _ = listener.accept()
+                with conn:
+                    answer(conn, received)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", received
+        thread.join(5.0)
+        assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "answer, timeout_s, bound_s",
+    [(_short_body_then_stall, 0.3, 1.0), (_close_without_reply, 5.0, 1.0)],
+    ids=["short body then stall", "close without reply"],
+)
+def test_http_transport_fails_a_broken_reply_and_reconnects(answer, timeout_s, bound_s):
+    with _scripted_server(answer, _reply_ok) as (url, received):
+        transport = HttpTransport({1: url}, MonotonicClock(), timeout_s=timeout_s)
+        try:
+            started = time.perf_counter()
+            (failed,) = transport.call_tool(1, "t", {}, "s")
+            elapsed = time.perf_counter() - started
+            (answered,) = transport.call_tool(1, "t", {}, "s")
+        finally:
+            transport.close()
+    assert not failed.success and failed.result["error"].startswith("transport failure")
+    assert elapsed < bound_s
+    assert answered.success and answered.result == "ok"
+    assert len(received) == 2  # one request per connection: none was sent again
+
+
+def test_http_transport_refuses_a_session_id_with_a_line_break():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        transport = HttpTransport(
+            {1: f"http://127.0.0.1:{listener.getsockname()[1]}"}, MonotonicClock(), timeout_s=1.0
+        )
+        try:
+            (call,) = transport.call_tool(1, "t", {}, "s\r\nX-Injected: 1")
+        finally:
+            transport.close()
+        listener.settimeout(0.1)
+        with pytest.raises(TimeoutError):  # nothing connected, so nothing was sent
+            listener.accept()
+    assert not call.success and call.result["error"].startswith("transport failure")
+
+
+class _Http11ClosingHandler(_Http10Handler):
+    """An HTTP/1.1 server that answers every request with ``Connection: close``."""
+
+    protocol_version = "HTTP/1.1"
+
+    def end_headers(self):
+        self.server.requests += 1
+        self.send_header("Connection", "close")
+        super().end_headers()
+
+
+def test_http_transport_reconnects_to_an_http11_server_that_closes(
+    fixtures, accepted_connections
+):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Http11ClosingHandler)
+    server.tool_host = build_procedure_host(fixtures, repository_text="procedures here")
+    server.requests = 0
+    threading.Thread(target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True).start()
+    host, port = server.server_address[:2]
+    transport = HttpTransport({2: f"http://{host}:{port}"}, MonotonicClock(), timeout_s=2.0)
+    try:
+        calls = [
+            transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "s")[0]
+            for _ in range(3)
+        ]
+    finally:
+        transport.close()
+        server.shutdown()
+        server.server_close()
+    assert [c.result["address"] for c in calls] == ["100.64.0.1", "100.64.0.2", "100.64.0.3"]
+    assert (len(accepted_connections), server.requests) == (3, 3)

@@ -7,21 +7,21 @@ loopback transport shares the exact request-handling path with the HTTP
 server, JSON encoding aside, so both behave identically. A server keeps no
 clock: a simulated tool takes no time, and only a client times a call.
 
-The socket path keeps connections open (HTTP/1.1 keep-alive, RFC 9112
-section 9): a client transport holds one connection per server for the
-length of a run.
+Both ends frame one HTTP/1.1 dialect themselves: a POST whose JSON body is
+framed by ``Content-Length`` (RFC 9112 section 6), on a connection kept for a
+run (section 9). A request, like a reply, leaves in one send.
 """
 
 from __future__ import annotations
 
-import http.client
 import itertools
 import json
 import socket
 import sys
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Mapping
+from typing import Any, BinaryIO, Mapping
 from urllib.parse import urlsplit
 
 from .model import CallOrigin, ToolCallRecord, normalize_arguments
@@ -31,6 +31,7 @@ SESSION_HEADER = "X-Run-Session"
 DEFAULT_TIMEOUT_S = 10.0
 # how often a server's accept loop checks for shutdown; close() waits up to this
 SERVE_POLL_S = 0.05
+MAX_HEAD_LINES, MAX_LINE, MAX_BODY = 100, 65536, 1 << 20  # head as in http.server
 
 ERR_PARSE = -32700
 ERR_INVALID_REQUEST = -32600
@@ -131,18 +132,64 @@ def handle_rpc(host: ToolHost, payload: Any, session_id: str) -> dict[str, Any]:
 # HTTP server
 
 
+def _read_headers(rfile: BinaryIO) -> dict[str, str]:
+    """The header lines up to the blank one, keyed by lower-case name."""
+    headers = {}
+    for _ in range(MAX_HEAD_LINES):
+        line = rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise ValueError("header line too long")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raise ValueError(f"more than {MAX_HEAD_LINES - 1} headers")
+
+
+def _closes(version: str, headers: Mapping[str, str]) -> bool:  # RFC 9112 section 9.3
+    connection = headers.get("connection", "").lower()
+    return connection == "close" or (version == "HTTP/1.0" and connection != "keep-alive")
+
+
 class _RpcRequestHandler(BaseHTTPRequestHandler):
     server_version = "procharness/0.1"
     protocol_version = "HTTP/1.1"  # keep-alive: one connection serves a run
-    # the headers and the body go out in two sends; with Nagle's algorithm
-    # the body waits for the client's delayed ACK, about 40 ms per reply
+    wbufsize = 1 << 16  # over any reply (20 KB at most): each leaves in one send
     disable_nagle_algorithm = True
+
+    def parse_request(self) -> bool:
+        self.command, self.request_version = None, "HTTP/1.1"  # for an error reply
+        self.requestline = self.raw_requestline.decode("latin-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            self.send_error(HTTPStatus.BAD_REQUEST, "Bad request line")
+            return False
+        self.command, self.path, self.request_version = words
+        try:
+            self.headers = _read_headers(self.rfile)  # type: ignore[assignment]
+        except ValueError as exc:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, str(exc))
+            return False
+        self.close_connection = _closes(self.request_version, self.headers)
+        expect = self.headers.get("expect", "").lower()
+        if expect == "100-continue" and self.request_version == "HTTP/1.1":
+            self.handle_expect_100()
+            self.wfile.flush()  # the client sends the body only once this arrives
+        return True
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         host: ToolHost = self.server.tool_host  # type: ignore[attr-defined]
-        session_id = self.headers.get(SESSION_HEADER, "default")
-        length = int(self.headers.get("Content-Length", "0"))
-        raw = self.rfile.read(length)
+        session_id = self.headers.get(SESSION_HEADER.lower(), "default")
+        length = self.headers.get("content-length")  # the one framing spoken here
+        if length is None or "transfer-encoding" in self.headers:
+            return self.send_error(HTTPStatus.LENGTH_REQUIRED)
+        if not (length.isascii() and length.isdigit()):
+            return self.send_error(HTTPStatus.BAD_REQUEST, "Bad Content-Length")
+        if int(length) > MAX_BODY:  # requests are a few hundred bytes; refused unread
+            return self.send_error(HTTPStatus.REQUEST_ENTITY_TOO_LARGE)
+        raw = self.rfile.read(int(length))
+        if len(raw) < int(length):
+            return self.send_error(HTTPStatus.BAD_REQUEST, "Body shorter than Content-Length")
         try:
             payload = json.loads(raw)
         except ValueError:  # not UTF-8, or not JSON
@@ -332,9 +379,9 @@ class HttpTransport(_TransportBase):
     Keeps one connection per server, opened on first use and kept alive
     until ``close``. A transport serves one run on one thread, so the
     connections need no lock. A request is never sent twice: ``tools/call``
-    is not idempotent, so a broken connection fails the call and the next
-    request opens a new one. A server that closes after every reply
-    (HTTP/1.0) gets a new connection per request.
+    is not idempotent, so a broken connection or reply fails the call and the
+    next request opens a new connection. A server that closes after every
+    reply (HTTP/1.0, ``Connection: close``) gets a new connection per request.
     """
 
     def __init__(
@@ -347,37 +394,50 @@ class HttpTransport(_TransportBase):
         super().__init__(clock, tool_latency_ms)
         self.urls = dict(urls)
         self.timeout_s = timeout_s
-        self._connections: dict[int, tuple[http.client.HTTPConnection, str]] = {}
+        self._connections: dict[int, tuple[socket.socket, BinaryIO, bytes]] = {}
 
-    def _connection(self, server_id: int) -> tuple[http.client.HTTPConnection, str]:
+    def _connection(self, server_id: int) -> tuple[socket.socket, BinaryIO, bytes]:
         if server_id not in self._connections:
             url = self.urls.get(server_id)
             if url is None:
                 raise RuntimeError(f"no server {server_id} configured")
             parts = urlsplit(url)
-            conn = http.client.HTTPConnection(parts.netloc, timeout=self.timeout_s)
-            self._connections[server_id] = (conn, parts.path or "/")
+            sock = socket.create_connection((parts.hostname, parts.port or 80), self.timeout_s)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+            head = f"POST {parts.path or '/'} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+            head += f"Content-Type: application/json\r\n{SESSION_HEADER}: "
+            self._connections[server_id] = (sock, sock.makefile("rb"), head.encode("latin-1"))
         return self._connections[server_id]
 
+    def _drop(self, server_id: int) -> None:
+        sock, reader, _ = self._connections.pop(server_id)
+        reader.close()
+        sock.close()
+
     def _send(self, server_id: int, payload: dict[str, Any], session_id: str) -> dict[str, Any]:
-        conn, path = self._connection(server_id)
+        if "\r" in session_id or "\n" in session_id:
+            raise ValueError(f"session id {session_id!r} holds a line break")
+        sock, reader, head = self._connection(server_id)
         body = json.dumps(payload).encode("utf-8")
-        headers = {"Content-Type": "application/json", SESSION_HEADER: session_id}
         try:
-            conn.request("POST", path, body, headers)
-            response = conn.getresponse()
-            # read the whole body first so the connection stays in step
-            data = response.read()
+            sock.sendall(b"%s%s\r\nContent-Length: %d\r\n\r\n%s" % (
+                head, session_id.encode("latin-1"), len(body), body))
+            if not (line := reader.readline(MAX_LINE + 1)):
+                raise ConnectionError("server closed the connection without a reply")
+            version, status, reason = line.decode("latin-1").rstrip("\r\n").split(" ", 2)
+            headers = _read_headers(reader)
+            data = reader.read(length := int(headers["content-length"]))
+            if len(data) < length:
+                raise ConnectionError("reply shorter than its Content-Length")
         except Exception:
-            conn.close()
+            self._drop(server_id)
             raise
-        if response.status >= 400:
-            raise RuntimeError(
-                f"HTTP {response.status} {response.reason} from {self.urls[server_id]}"
-            )
+        if _closes(version, headers):
+            self._drop(server_id)
+        if int(status) >= 400:
+            raise RuntimeError(f"HTTP {status} {reason} from {self.urls[server_id]}")
         return json.loads(data)
 
     def close(self) -> None:
-        for conn, _ in self._connections.values():
-            conn.close()
-        self._connections.clear()
+        for server_id in list(self._connections):
+            self._drop(server_id)

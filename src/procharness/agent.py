@@ -50,15 +50,19 @@ class ToolCallRequest:
 class AssistantTurn:
     tool_calls: tuple[ToolCallRequest, ...] = ()
     text: str | None = None
-    raw_message: dict[str, Any] | None = None
 
 
 class ModelBackend(Protocol):
+    """A model serving one run keeps the run's conversation. ``step`` answers
+    a turn; ``tool_result`` takes a call's result after the timed step."""
+
     model_id: str
 
     def step(
-        self, messages: list[dict[str, Any]], tools: Sequence[Mapping[str, Any]]
+        self, context: ApproachContext, tools: Sequence[Mapping[str, Any]]
     ) -> AssistantTurn: ...
+
+    def tool_result(self, call_id: str, result: Any) -> None: ...
 
 
 class BackendError(Exception):
@@ -168,8 +172,8 @@ class ScriptedBackend:
     """Deterministic stand-in model that replays a prepared playbook.
 
     Advances the injected clock by ``llm_latency_ms`` per reasoning turn so
-    simulated latency accounting is exact. It reads neither the messages
-    nor the tools, so each playbook turn is returned as it is.
+    simulated latency accounting is exact. It reads neither the context, the
+    tools nor the results, so each playbook turn is returned as it is.
     """
 
     def __init__(
@@ -186,7 +190,7 @@ class ScriptedBackend:
         self._llm_latency_ms = llm_latency_ms
 
     def step(
-        self, messages: list[dict[str, Any]], tools: Sequence[Mapping[str, Any]]
+        self, context: ApproachContext, tools: Sequence[Mapping[str, Any]]
     ) -> AssistantTurn:
         self._clock.advance(self._llm_latency_ms)
         if self._cursor < len(self._turns):
@@ -194,6 +198,9 @@ class ScriptedBackend:
             self._cursor += 1
             return turn
         return AssistantTurn(text=prompts.FINAL_SUMMARY_TEXT)
+
+    def tool_result(self, call_id: str, result: Any) -> None:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +283,13 @@ class RemoteChatBackend:
     ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY`` variables. Its runs carry
     the config entry's ``model_id``; the request names ``config.model``.
     A backend serves one run, which passes the same descriptor list on
-    every turn, so it converts that list once."""
+    every turn, so it converts that list once, and keeps the run's messages."""
 
     def __init__(self, config: RemoteEndpointConfig, model_id: str) -> None:
         self.config = config
         self.model_id = model_id
         self._chat_tools: tuple[Any, list[dict[str, Any]]] = (None, [])
+        self._messages: list[dict[str, Any]] = []
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -291,11 +299,16 @@ class RemoteChatBackend:
         return headers
 
     def step(
-        self, messages: list[dict[str, Any]], tools: Sequence[Mapping[str, Any]]
+        self, context: ApproachContext, tools: Sequence[Mapping[str, Any]]
     ) -> AssistantTurn:
+        if not self._messages:
+            self._messages = [
+                {"role": "system", "content": context.system_prompt},
+                {"role": "user", "content": context.user_prompt},
+            ]
         payload: dict[str, Any] = {
             "model": self.config.model,
-            "messages": messages,
+            "messages": self._messages,
             "temperature": self.config.temperature,
         }
         if self.config.max_output_tokens is not None:
@@ -319,12 +332,9 @@ class RemoteChatBackend:
                 ) as response:
                     body = json.loads(response.read())
                 message = body["choices"][0]["message"]
-                calls = parse_tool_calls(message)
-                return AssistantTurn(
-                    tool_calls=calls,
-                    text=message.get("content"),
-                    raw_message=dict(message),
-                )
+                turn = AssistantTurn(parse_tool_calls(message), message.get("content"))
+                self._messages.append(dict(message) or {"role": "assistant", "content": None})
+                return turn
             except Exception as exc:
                 if isinstance(exc, urllib.error.HTTPError):
                     exc.close()
@@ -332,6 +342,10 @@ class RemoteChatBackend:
                 if attempt < self.config.retries:
                     time.sleep(0.5 * 2**attempt)
         raise BackendError(f"chat endpoint failed after retries: {last_error}")
+
+    def tool_result(self, call_id: str, result: Any) -> None:
+        message = {"role": "tool", "tool_call_id": call_id, "content": json.dumps(result)}
+        self._messages.append(message)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +423,6 @@ def run_agent(
     turn cap. Failed tool calls are returned to the model as error results
     rather than aborting the run; a failed tool discovery ends the run
     before its first turn. The run id is the tool session id."""
-    messages: list[dict[str, Any]] = [
-        {"role": "system", "content": context.system_prompt},
-        {"role": "user", "content": context.user_prompt},
-    ]
     records: list[ToolCallRecord] = []
     llm_steps: list[tuple[int, int]] = []
     final_text = ""
@@ -425,14 +435,11 @@ def run_agent(
     for _ in range(max_turns):
         started = clock.now_ms()
         try:
-            turn = backend.step(messages, descriptors)
+            turn = backend.step(context, descriptors)
         except Exception:
             reason = TerminatedReason.BACKEND_ERROR
             break
         llm_steps.append((started, clock.now_ms()))
-        messages.append(
-            turn.raw_message or {"role": "assistant", "content": turn.text}
-        )
 
         if not turn.tool_calls:
             final_text = turn.text or ""
@@ -445,13 +452,7 @@ def run_agent(
                 context.server_id, request.name, request.arguments, run_id
             )
             records.extend(call)
-            messages.append(
-                {
-                    "role": "tool",
-                    "tool_call_id": request.call_id,
-                    "content": json.dumps(call[0].result),
-                }
-            )
+            backend.tool_result(request.call_id, call[0].result)
 
     return RunRecord(
         run_id=run_id,

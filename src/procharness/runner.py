@@ -7,7 +7,6 @@ pipeline is deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 import sys
@@ -61,6 +60,7 @@ from .toolsim import (
     PROCEDURE_SERVER_ID,
     SERVER_REGISTRIES,
     SERVER_SPECS,
+    ToolHost,
     build_encapsulated_host,
     build_kpi_host,
     build_kpi_pool,
@@ -127,9 +127,10 @@ class RunPlan:
 
 
 class HarnessEnv:
-    """Shared per-batch state: the tool hosts of a run or serve stage. The
-    run plans are built on the first read of ``plans``, so ``serve`` builds
-    and checks none."""
+    """Shared per-batch state: the run plans and tool hosts of a run or serve
+    stage, each built on first use, so a stage builds only what it reads: a
+    batch builds the plans and hosts of its own scenario, a batch over
+    servers builds no host, and ``serve`` builds no plan."""
 
     def __init__(
         self, config: HarnessConfig, server_urls: Mapping[int, str] | None = None
@@ -138,79 +139,96 @@ class HarnessEnv:
         self.fixtures = {f.ue_id: f for f in config.scenario_a.fixtures}
         repo = config.scenario_a.repository_text
         self.repository_text = repo if repo is not None else prompts.UE_PROCEDURE_SET_TEXT
-        self.hosts = {
-            ENCAPSULATED_SERVER_ID: build_encapsulated_host(self.fixtures),
-            PROCEDURE_SERVER_ID: build_procedure_host(self.fixtures, self.repository_text),
-            KPI_SERVER_ID: build_kpi_host(build_kpi_pool(config.seed)),
-        }
         self.server_urls = dict(server_urls) if server_urls else None
+        self._hosts: dict[int, ToolHost] = {}
+        self._plans: dict[str, dict[tuple[Approach, int], RunPlan]] = {}
 
-    @functools.cached_property
-    def plans(self) -> dict[tuple[str, Approach, int], RunPlan]:
-        """One run plan per (scenario, approach, k) of the config, each
-        checked against its ground truth; a plan that fails raises
-        ``ModelError``."""
-        plans: dict[tuple[str, Approach, int], RunPlan] = {}
+    def host(self, server_id: int) -> ToolHost:
+        """One server's tool host, built on first use."""
+        if server_id not in self._hosts:
+            if server_id == KPI_SERVER_ID:
+                host = build_kpi_host(build_kpi_pool(self.config.seed))
+            elif server_id == PROCEDURE_SERVER_ID:
+                host = build_procedure_host(self.fixtures, self.repository_text)
+            else:
+                host = build_encapsulated_host(self.fixtures)
+            self._hosts[server_id] = host
+        return self._hosts[server_id]
+
+    @property
+    def hosts(self) -> dict[int, ToolHost]:
+        """Every server's tool host, as ``serve`` starts them."""
+        return {server_id: self.host(server_id) for server_id in SERVER_SPECS}
+
+    def plans(self, scenario: str) -> dict[tuple[Approach, int], RunPlan]:
+        """The scenario's run plans by (approach, k), built on the first call
+        and checked against their ground truth (a failing plan raises
+        ``ModelError``), with the hosts their runs call over loopback."""
+        if scenario in self._plans:
+            return self._plans[scenario]
+        plans: dict[tuple[Approach, int], RunPlan] = {}
         config, fixtures = self.config, self.fixtures
-        request = config.scenario_a.request
-        ue_id, session_type = request["ue_id"], request["session_type"]
-        intent = make_allocation_intent(ue_id, session_type)
-        step_level = ground_truth_procedure(intent, fixtures)
-        steps = tuple(allocation_plan(fixtures, ue_id, session_type))
-        encapsulated = encapsulated_expected_procedure(intent)
-        encapsulated_call = ((ENCAP_TOOL, {"ue_id": ue_id, "session_type": session_type}),)
-        for approach in config.scenario_a.approaches:
-            a4 = approach is Approach.A4
-            context = build_context(
-                approach,
-                intent,
-                self.repository_text,
-                _SERVERS[SCENARIO_A, approach],
-                explicit_procedure=step_level,
-            )
-            plans[SCENARIO_A, approach, step_level.length] = RunPlan(
-                intent,
-                context,
-                expected=encapsulated if a4 else step_level,
-                expected_flattened=step_level if a4 else None,
-                calls=encapsulated_call if a4 else steps,
-                k=step_level.length,
-            )
-        for k in config.scenario_b.k_values:
-            intent, procedure = gen_stress_procedure(k, config.seed)
-            context = build_context(
-                Approach.A1,
-                intent,
-                prompts.KPI_PROCEDURE_SET_TEXT,
-                _SERVERS[SCENARIO_B, Approach.A1],
-            )
-            region = intent.structured["region"]
-            kpis = intent.structured["required_kpis"]
-            calls = tuple((name, {"region": region}) for name in kpis)
-            plans[SCENARIO_B, Approach.A1, k] = RunPlan(
-                intent, context, procedure, None, calls, k
-            )
-        for (scenario, approach, _), plan in plans.items():
+        if scenario == SCENARIO_A:
+            request = config.scenario_a.request
+            ue_id, session_type = request["ue_id"], request["session_type"]
+            intent = make_allocation_intent(ue_id, session_type)
+            step_level = ground_truth_procedure(intent, fixtures)
+            steps = tuple(allocation_plan(fixtures, ue_id, session_type))
+            encapsulated = encapsulated_expected_procedure(intent)
+            encapsulated_call = ((ENCAP_TOOL, {"ue_id": ue_id, "session_type": session_type}),)
+            for approach in config.scenario_a.approaches:
+                a4 = approach is Approach.A4
+                context = build_context(
+                    approach,
+                    intent,
+                    self.repository_text,
+                    _SERVERS[SCENARIO_A, approach],
+                    explicit_procedure=step_level,
+                )
+                plans[approach, step_level.length] = RunPlan(
+                    intent,
+                    context,
+                    expected=encapsulated if a4 else step_level,
+                    expected_flattened=step_level if a4 else None,
+                    calls=encapsulated_call if a4 else steps,
+                    k=step_level.length,
+                )
+        elif scenario == SCENARIO_B:
+            for k in config.scenario_b.k_values:
+                intent, procedure = gen_stress_procedure(k, config.seed)
+                context = build_context(
+                    Approach.A1,
+                    intent,
+                    prompts.KPI_PROCEDURE_SET_TEXT,
+                    _SERVERS[SCENARIO_B, Approach.A1],
+                )
+                region = intent.structured["region"]
+                kpis = intent.structured["required_kpis"]
+                calls = tuple((name, {"region": region}) for name in kpis)
+                plans[Approach.A1, k] = RunPlan(intent, context, procedure, None, calls, k)
+        for (approach, _), plan in plans.items():
             self._check_ground_truth(scenario, approach, plan)
+            if not self.server_urls:
+                self.host(plan.context.server_id)
+        self._plans[scenario] = plans
         return plans
 
     def cells(self, scenario: str) -> list[RunCell]:
         """The batch's runs: scenario A by approach, model and repetition,
         scenario B by model, k and repetition."""
-        keys = [(approach, k) for s, approach, k in self.plans if s == scenario]
+        keys = list(self.plans(scenario))
         models = self.config.models
         if scenario == SCENARIO_A:
             reps = range(1, self.config.scenario_a.runs_per_cell + 1)
             return [RunCell(scenario, a, m, k, r) for a, k in keys for m in models for r in reps]
-        if scenario == SCENARIO_B:
-            reps = range(1, self.config.scenario_b.runs_per_cell + 1)
-            return [RunCell(scenario, a, m, k, r) for m in models for a, k in keys for r in reps]
-        raise ValueError(f"unknown scenario {scenario!r}")
+        reps = range(1, self.config.scenario_b.runs_per_cell + 1)
+        return [RunCell(scenario, a, m, k, r) for m in models for a, k in keys for r in reps]
 
-    def make_transport(self, clock: Any, tool_latency_ms: int) -> Any:
+    def make_transport(self, server_id: int, clock: Any, tool_latency_ms: int) -> Any:
+        """A transport for a run, which calls the one server ``server_id``."""
         if self.server_urls:
             return HttpTransport(self.server_urls, clock, tool_latency_ms)
-        return LoopbackTransport(self.hosts, clock, tool_latency_ms)
+        return LoopbackTransport({server_id: self.host(server_id)}, clock, tool_latency_ms)
 
     def _check_ground_truth(self, scenario: str, approach: Approach, plan: RunPlan) -> None:
         """A plan whose fault-free calls would not classify Correct is a
@@ -239,7 +257,7 @@ def _check_fault_programs(env: HarnessEnv, cells: list[RunCell]) -> None:
     distinct = {(c.approach, c.model, c.k): c for c in cells if c.model.kind == "scripted"}
     for cell in distinct.values():
         try:
-            apply_fault(env.plans[cell.scenario, cell.approach, cell.k].calls, cell.model.fault)
+            apply_fault(env.plans(cell.scenario)[cell.approach, cell.k].calls, cell.model.fault)
         except ValueError as exc:
             raise ModelError(
                 f"model {cell.model.model_id!r}, approach {cell.approach.value}, "
@@ -249,7 +267,7 @@ def _check_fault_programs(env: HarnessEnv, cells: list[RunCell]) -> None:
 
 def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
     """One cell repetition: drive the agent loop through the cell's plan."""
-    plan = env.plans[cell.scenario, cell.approach, cell.k]
+    plan = env.plans(cell.scenario)[cell.approach, cell.k]
     scripted = cell.model.kind == "scripted"
     clock = VirtualClock() if scripted else MonotonicClock()
     if scripted:
@@ -261,7 +279,8 @@ def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
     else:
         backend = RemoteChatBackend(cell.model.endpoint, cell.model.model_id)
 
-    transport = env.make_transport(clock, env.config.tool_latency_ms if scripted else 0)
+    latency = env.config.tool_latency_ms if scripted else 0
+    transport = env.make_transport(plan.context.server_id, clock, latency)
     try:
         run = run_agent(
             plan.context,

@@ -93,7 +93,7 @@ def handle_rpc(host: ToolHost, payload: Any, session_id: str) -> dict[str, Any]:
     if payload.get("jsonrpc") != "2.0" or "method" not in payload:
         return _error(req_id, ERR_INVALID_REQUEST, "not a jsonrpc 2.0 request")
     method = payload["method"]
-    params = payload.get("params") or {}
+    params = {} if payload.get("params") is None else payload["params"]
     if not isinstance(params, Mapping):
         return _error(req_id, ERR_INVALID_PARAMS, "params must be an object")
 
@@ -104,7 +104,7 @@ def handle_rpc(host: ToolHost, payload: Any, session_id: str) -> dict[str, Any]:
         name = params.get("name")
         if not isinstance(name, str):
             return _error(req_id, ERR_INVALID_PARAMS, "params.name must be a string")
-        arguments = params.get("arguments") or {}
+        arguments = {} if params.get("arguments") is None else params["arguments"]
         if not isinstance(arguments, Mapping):
             return _error(req_id, ERR_INVALID_PARAMS, "params.arguments must be an object")
         try:

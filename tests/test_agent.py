@@ -30,6 +30,7 @@ from procharness.classify import classify
 from procharness.runner import HarnessEnv, RunCell, SCENARIO_A, execute_run, visible_registry
 from procharness.config import HarnessConfig, ModelConfig
 from procharness.toolsim import (
+    PROCEDURE_SERVER_ID,
     default_fixtures,
     ground_truth_procedure,
     make_allocation_intent,
@@ -286,23 +287,25 @@ def test_scripted_fault_no_calls_classifies_empty():
 def test_run_caps_turns():
     env = _env()
     clock = VirtualClock()
-    transport = env.make_transport(clock, 1)
+    transport = env.make_transport(PROCEDURE_SERVER_ID, clock, 1)
     intent = make_allocation_intent("ue-001", "IPv4")
 
     class LoopingBackend:
         model_id = "looper"
 
-        def step(self, messages, tools):
+        def step(self, context, tools):
             from procharness.agent import ToolCallRequest
 
             return AssistantTurn(
                 tool_calls=(
                     ToolCallRequest("c", "static_ip_retrieval", {"ue_id": "ue-001"}),
                 ),
-                raw_message={"role": "assistant", "content": None},
             )
 
-    ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
+        def tool_result(self, call_id, result):
+            pass
+
+    ctx = env.plans(SCENARIO_A)[Approach.A1, 3].context
     run = run_agent(ctx, intent, LoopingBackend(), transport, clock, 5, "r")
     assert run.terminated_reason is TerminatedReason.TURN_CAP_HIT
     assert len(run.llm_steps) == 5
@@ -312,16 +315,16 @@ def test_run_caps_turns():
 def test_backend_exception_yields_backend_error():
     env = _env()
     clock = VirtualClock()
-    transport = env.make_transport(clock, 1)
+    transport = env.make_transport(PROCEDURE_SERVER_ID, clock, 1)
     intent = make_allocation_intent("ue-001", "IPv4")
 
     class BrokenBackend:
         model_id = "broken"
 
-        def step(self, messages, tools):
+        def step(self, context, tools):
             raise RuntimeError("boom")
 
-    ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
+    ctx = env.plans(SCENARIO_A)[Approach.A1, 3].context
     run = run_agent(ctx, intent, BrokenBackend(), transport, clock, 5, "r")
     assert run.terminated_reason is TerminatedReason.BACKEND_ERROR
     assert run.trace.length == 0
@@ -338,10 +341,10 @@ def test_failed_tool_discovery_ends_run_before_first_turn():
     class UnusedBackend:
         model_id = "unused"
 
-        def step(self, messages, tools):
+        def step(self, context, tools):
             raise AssertionError("no turn runs without a tool list")
 
-    ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
+    ctx = env.plans(SCENARIO_A)[Approach.A1, 3].context
     run = run_agent(ctx, intent, UnusedBackend(), DownTransport(), VirtualClock(), 5, "r")
     assert run.terminated_reason is TerminatedReason.BACKEND_ERROR
     assert (run.run_id, run.model_id, run.intent) == ("r", "unused", intent)
@@ -361,7 +364,7 @@ def test_failed_tool_call_feeds_back_and_run_continues():
 def test_multiple_calls_in_one_turn_execute_in_order():
     env = _env()
     clock = VirtualClock()
-    transport = env.make_transport(clock, 1)
+    transport = env.make_transport(PROCEDURE_SERVER_ID, clock, 1)
     intent = make_allocation_intent("ue-001", "IPv4")
 
     class BatchingBackend:
@@ -370,21 +373,23 @@ def test_multiple_calls_in_one_turn_execute_in_order():
         def __init__(self):
             self.done = False
 
-        def step(self, messages, tools):
+        def step(self, context, tools):
             from procharness.agent import ToolCallRequest
 
             if self.done:
-                return AssistantTurn(text="done", raw_message={"role": "assistant", "content": "done"})
+                return AssistantTurn(text="done")
             self.done = True
             return AssistantTurn(
                 tool_calls=tuple(
                     ToolCallRequest(f"c{i}", name, dict(args))
                     for i, (name, args) in enumerate(CALLS)
                 ),
-                raw_message={"role": "assistant", "content": None},
             )
 
-    ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
+        def tool_result(self, call_id, result):
+            pass
+
+    ctx = env.plans(SCENARIO_A)[Approach.A1, 3].context
     run = run_agent(ctx, intent, BatchingBackend(), transport, clock, 5, "r")
     assert run.trace.tool_names == tuple(c[0] for c in CALLS)
     assert len(run.llm_steps) == 2

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import http.client
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,3 +164,71 @@ def test_classify_builds_no_host_pool_or_env(tmp_path, golden_config_path, monke
         name = f"runs_{scenario.lower()}_classified.jsonl"
         assert runner.classify_archive(config, path, tmp_path / name)[1] == 0
         assert _sha256((tmp_path / name).read_bytes()) == GOLDEN_FILES[name]
+
+
+def _fail_on_call(monkeypatch, *names):
+    def build(*args, **kwargs):
+        raise AssertionError("a batch built what its runs never read")
+
+    for name in names:
+        monkeypatch.setattr(runner, name, build)
+
+
+@pytest.mark.parametrize(
+    "scenario, unread",
+    [
+        (SCENARIO_A, ("build_kpi_pool", "build_kpi_host", "gen_stress_procedure")),
+        (
+            SCENARIO_B,
+            ("make_allocation_intent", "build_encapsulated_host", "build_procedure_host"),
+        ),
+    ],
+)
+def test_run_builds_only_its_scenario(tmp_path, golden_config_path, monkeypatch, scenario, unread):
+    # a scenario-A batch builds no KPI pool, KPI host or stress plan, and a
+    # scenario-B batch no scenario-A plan or UE host
+    _fail_on_call(monkeypatch, *unread)
+    name = f"runs_{scenario.lower()}.jsonl"
+    run_batch(load_config(golden_config_path), scenario, tmp_path / name)
+    assert _sha256((tmp_path / name).read_bytes()) == GOLDEN_FILES[name]
+
+
+def test_run_over_servers_builds_no_host(tmp_path, golden_config_path, monkeypatch):
+    config = load_config(golden_config_path)
+    servers = [ToolServer(host).start() for _, host in sorted(HarnessEnv(config).hosts.items())]
+    _fail_on_call(
+        monkeypatch,
+        "build_kpi_pool",
+        "build_encapsulated_host",
+        "build_procedure_host",
+        "build_kpi_host",
+    )
+    try:
+        urls = {i: server.url for i, server in enumerate(servers, start=1)}
+        for scenario in (SCENARIO_A, SCENARIO_B):
+            name = f"runs_{scenario.lower()}.jsonl"
+            run_batch(config, scenario, tmp_path / name, urls)
+            assert _sha256((tmp_path / name).read_bytes()) == GOLDEN_FILES[name]
+    finally:
+        for server in servers:
+            server.close()
+
+
+def test_parallel_run_builds_the_kpi_host_once(tmp_path, golden_config_path, monkeypatch):
+    # the batch's thread builds the host before any worker starts
+    built = []
+
+    def build_kpi_host(pool):
+        built.append(pool)
+        return toolsim.build_kpi_host(pool)
+
+    monkeypatch.setattr(runner, "build_kpi_host", build_kpi_host)
+    config = dataclasses.replace(load_config(golden_config_path), workers=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so workers that raced to build would interleave
+    try:
+        run_batch(config, SCENARIO_B, tmp_path / "runs_b.jsonl")
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) == 1
+    assert _sha256((tmp_path / "runs_b.jsonl").read_bytes()) == GOLDEN_FILES["runs_b.jsonl"]

@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procharness import agent, prompts, runner
-from procharness.agent import Approach, RemoteEndpointConfig, descriptor_to_chat_tool
+from procharness.agent import (
+    Approach,
+    RemoteEndpointConfig,
+    build_context,
+    descriptor_to_chat_tool,
+)
 from procharness.archive import load_documents
 from procharness.classify import classify
 from procharness.config import (
@@ -165,7 +170,7 @@ def test_repository_fetch_matches_embedded_rendering():
 
     transport = LoopbackTransport(env.hosts, VirtualClock())
     fetched = transport.call_tool(2, META_TOOL_NAME, {}, "s")[0].result
-    ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
+    ctx = env.plans(SCENARIO_A)[Approach.A1, 3].context
     assert fetched == prompts.UE_PROCEDURE_SET_TEXT
     assert fetched in ctx.system_prompt
     again = transport.call_tool(2, META_TOOL_NAME, {}, "s")[0].result
@@ -177,7 +182,7 @@ def test_empty_repository_config_degrades_gracefully():
         scenario_a=ScenarioAConfig(runs_per_cell=1, repository_text="")
     )
     env = HarnessEnv(config)
-    ctx = env.plans[SCENARIO_A, Approach.A1, 3].context
+    ctx = env.plans(SCENARIO_A)[Approach.A1, 3].context
     assert ctx.system_prompt == prompts.SYSTEM_BASE
     from procharness.model import VirtualClock
     from procharness.wire import LoopbackTransport
@@ -248,13 +253,12 @@ def test_run_plans_are_built_once_per_batch(tmp_path, monkeypatch):
     config = _small_config()
     stats = run_batch(config, SCENARIO_A, tmp_path / "runs_a.jsonl")
     assert stats.attempted == 8
-    # one context per approach of scenario A and per stress length of B
-    n_plans = len(config.scenario_a.approaches) + len(config.scenario_b.k_values)
+    # one context per approach of scenario A, and none for scenario B
     assert counts == {
         "make_allocation_intent": 1,
         "ground_truth_procedure": 1,
         "allocation_plan": 1,
-        "build_context": n_plans,
+        "build_context": len(config.scenario_a.approaches),
     }
     # classify judges each line against the ground truth the line carries
     counts.clear()
@@ -457,6 +461,51 @@ def test_live_run_converts_each_descriptor_once(fake_endpoint, monkeypatch):
     # every turn still sends the whole tool list
     tools = [descriptor_to_chat_tool(d) for d in descriptors]
     assert [request["tools"] for request in server.requests] == [tools] * 3
+
+
+def test_live_chat_request_carries_the_whole_conversation(fake_endpoint):
+    """The last request of a two-call live run holds every message of the
+    run in order: the prompts, each assistant message as the endpoint sent
+    it, and each tool result as its JSON text under its call id."""
+    server, url = fake_endpoint
+    turns = [
+        {
+            "content": None,
+            "tool_calls": [{
+                "id": call_id,
+                "type": "function",
+                "function": {"name": name, "arguments": json.dumps(arguments)},
+            }],
+        }
+        for call_id, name, arguments in (
+            ("c1", "ue_authorization", {"ue_id": "ue-001", "session_type": "IPv4"}),
+            ("c2", "static_ip_retrieval", {}),  # a missing parameter
+        )
+    ]
+    server.script.extend((200, turn) for turn in turns)
+    endpoint = RemoteEndpointConfig(model="fake", base_url=url, retries=0, timeout_s=5.0)
+    model = ModelConfig(model_id="fake", kind="openai_chat", endpoint=endpoint)
+    env = HarnessEnv(HarnessConfig(scenario_a=ScenarioAConfig(runs_per_cell=1), models=(model,)))
+    doc = execute_run(env, RunCell(SCENARIO_A, Approach.A1, model, 3, 1))
+    assert doc.run.terminated_reason is TerminatedReason.MODEL_FINISHED
+    first, second = doc.run.trace.records
+    context = build_context(
+        Approach.A1,
+        doc.run.intent,
+        prompts.UE_PROCEDURE_SET_TEXT,
+        PROCEDURE_SERVER_ID,
+        explicit_procedure=doc.expected,
+    )
+    assert len(server.requests) == 3
+    assert server.requests[-1]["messages"] == [
+        {"role": "system", "content": context.system_prompt},
+        {"role": "user", "content": context.user_prompt},
+        {"role": "assistant", **turns[0]},
+        {"role": "tool", "tool_call_id": "c1", "content": json.dumps(first.result)},
+        {"role": "assistant", **turns[1]},
+        {"role": "tool", "tool_call_id": "c2", "content": json.dumps(second.result)},
+    ]
+    assert first.success and not second.success  # an error result travels too
 
 
 def test_unreachable_backend_marks_runs_but_batch_continues(tmp_path):

@@ -177,6 +177,22 @@ def test_handle_rpc_error_codes(procedure_host):
         "s",
     )
     assert bad_args["error"]["code"] == ERR_INVALID_PARAMS
+    # absent or null params and arguments read as {}; any other value that is
+    # not an object, a falsy one included, gets -32602
+    listing = {"jsonrpc": "2.0", "id": 5, "method": "tools/list"}
+    listed = handle_rpc(procedure_host, listing, "s")
+    meta = _call(META_TOOL_NAME)
+    assert "result" in listed and "result" in handle_rpc(procedure_host, meta, "s")
+    for empty in (None, {}):
+        assert handle_rpc(procedure_host, {**listing, "params": empty}, "s") == listed
+        call = {**meta, "params": {"name": META_TOOL_NAME, "arguments": empty}}
+        assert "result" in handle_rpc(procedure_host, call, "s")
+    for bad in ([], 0, "", False, [1], 1, "x", True):
+        bad_params = {**listing, "params": bad}
+        bad_arguments = {**meta, "params": {"name": META_TOOL_NAME, "arguments": bad}}
+        for request in (bad_params, bad_arguments):
+            reply = handle_rpc(procedure_host, request, "s")
+            assert reply["error"]["code"] == ERR_INVALID_PARAMS, request
 
 
 def _raising_host():

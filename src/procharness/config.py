@@ -31,6 +31,9 @@ class ModelConfig:
             raise ModelError(f"model {self.model_id!r} needs an endpoint config")
         if self.llm_latency_ms < 0:
             raise ModelError(f"model {self.model_id!r}: llm_latency_ms must be at least 0")
+        # a run's id holds its model's id and travels in a request header
+        if any(c in "\r\n" or c > "\xff" for c in self.model_id):
+            raise ModelError(f"model {self.model_id!r}: model_id must be Latin-1, no CR or LF")
         if self.endpoint is not None and not self.endpoint.model:
             # an endpoint without a model serves the entry's model id
             object.__setattr__(self, "endpoint", replace(self.endpoint, model=self.model_id))
@@ -88,6 +91,10 @@ class HarnessConfig:
             raise ModelError("workers must be at least 1")
         if self.tool_latency_ms < 0:
             raise ModelError("tool_latency_ms must be at least 0")
+        ids = [m.model_id for m in self.models]  # a run's id holds its model's id
+        for model_id in ids:
+            if ids.count(model_id) > 1:
+                raise ModelError(f"model_id {model_id!r} names more than one model")
 
 
 _SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}

@@ -28,21 +28,17 @@ _ERR_COLUMNS = (
 def latency_cost_ms(run: RunRecord) -> int:
     """End-to-end cost of a run: model reasoning time plus tool time.
 
-    Internal sub-calls whose interval nests inside an agent-issued call's
-    interval are already covered by the parent envelope and are skipped, so
-    encapsulated execution is not double-counted.
+    An internal sub-call belongs to the last agent-issued call before it,
+    the trace order ``effective_trace`` reads too. One that nests inside
+    that call's interval is already covered by the parent envelope and is
+    skipped, so encapsulated execution is not double-counted.
     """
     total = sum(end - start for start, end in run.llm_steps)
-    agent_intervals = [
-        (r.started_at, r.ended_at)
-        for r in run.trace.records
-        if r.origin is CallOrigin.AGENT_ISSUED
-    ]
+    parent = None  # the last agent-issued call so far
     for rec in run.trace.records:
-        if rec.origin is CallOrigin.TOOL_INTERNAL and any(
-            start <= rec.started_at and rec.ended_at <= end
-            for start, end in agent_intervals
-        ):
+        if rec.origin is CallOrigin.AGENT_ISSUED:
+            parent = rec
+        elif parent and parent.started_at <= rec.started_at and rec.ended_at <= parent.ended_at:
             continue
         total += rec.duration_ms
     return total

@@ -257,14 +257,8 @@ class ToolRegistry:
     def lookup(self, name: str) -> ToolSpec | None:
         return self._specs.get(name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
     def __iter__(self) -> Iterator[ToolSpec]:
         return iter(self._specs.values())
-
-    def __len__(self) -> int:
-        return len(self._specs)
 
 def normalize_arguments(arguments: Mapping[str, Any]) -> dict[str, Any]:
     """Lexical normalization only: trim whitespace around string values."""
@@ -535,8 +529,8 @@ class MonotonicClock:
 class VirtualClock:
     """Deterministic clock for simulated runs; moves only when told to."""
 
-    def __init__(self, start_ms: int = 0) -> None:
-        self._now = start_ms
+    def __init__(self) -> None:
+        self._now = 0
 
     def now_ms(self) -> int:
         return self._now

@@ -8,6 +8,7 @@ pipeline is deterministic for a fixed seed.
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -344,39 +345,40 @@ def run_batch(
     return stats
 
 
-def classify_archive(
-    config: HarnessConfig,
-    in_path: Path,
-    out_path: Path,
-    errlog: Callable[[str], None] | None = None,
-) -> tuple[int, int]:
+def classify_archive(config: HarnessConfig, in_path: Path, out_path: Path) -> tuple[int, int]:
     """Write every line back as it was read, with its two verdict keys set;
     the verdicts judge the line's own ground truth on the fixed registries
     of the servers, so no run plan, host or pool is built and ``config`` is
     not read. Corrupt lines are reported with their line number and
-    skipped. Returns (classified, corrupt)."""
+    skipped. The lines go to a file beside ``out_path`` that replaces it at
+    the end, so ``out_path`` may be ``in_path``, and a crash leaves either
+    the old file or the whole new one. Returns (classified, corrupt)."""
     classified = 0
     corrupt = 0
-    log = errlog or (lambda msg: print(msg, file=sys.stderr))
-    with open(out_path, "w", encoding="utf-8") as out:
-        for lineno, line in iter_lines(in_path):
-            try:
-                data = json.loads(line)
-                doc = RunDocument.from_dict(data)
-            except Exception as exc:
-                corrupt += 1
-                log(f"{in_path}:{lineno}: skipping corrupt record ({exc})")
-                continue
-            registry = visible_registry(doc.scenario, doc.run.approach)
-            agent_view = effective_trace(doc.run, TraceLevel.AGENT, registry)
-            data["verdict_agent"] = classify(doc.expected, agent_view, registry).to_dict()
-            data["verdict_flattened"] = None
-            if doc.expected_flattened is not None:
-                flat_view = effective_trace(doc.run, TraceLevel.FLATTENED, FLATTENED_REGISTRY)
-                verdict = classify(doc.expected_flattened, flat_view, FLATTENED_REGISTRY)
-                data["verdict_flattened"] = verdict.to_dict()
-            out.write(json.dumps(data, sort_keys=True) + "\n")
-            classified += 1
+    tmp_path = out_path.with_name(out_path.name + ".tmp")
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as out:
+            for lineno, line in iter_lines(in_path):
+                try:
+                    data = json.loads(line)
+                    doc = RunDocument.from_dict(data)
+                except Exception as exc:
+                    corrupt += 1
+                    print(f"{in_path}:{lineno}: skipping corrupt record ({exc})", file=sys.stderr)
+                    continue
+                registry = visible_registry(doc.scenario, doc.run.approach)
+                agent_view = effective_trace(doc.run, TraceLevel.AGENT, registry)
+                data["verdict_agent"] = classify(doc.expected, agent_view, registry).to_dict()
+                data["verdict_flattened"] = None
+                if doc.expected_flattened is not None:
+                    flat_view = effective_trace(doc.run, TraceLevel.FLATTENED, FLATTENED_REGISTRY)
+                    verdict = classify(doc.expected_flattened, flat_view, FLATTENED_REGISTRY)
+                    data["verdict_flattened"] = verdict.to_dict()
+                out.write(json.dumps(data, sort_keys=True) + "\n")
+                classified += 1
+        os.replace(tmp_path, out_path)
+    finally:
+        tmp_path.unlink(missing_ok=True)
     return classified, corrupt
 
 

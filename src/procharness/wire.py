@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import select
 import socket
 import sys
 import threading
@@ -156,6 +157,7 @@ class _RpcRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"  # keep-alive: one connection serves a run
     wbufsize = 1 << 16  # over any reply (20 KB at most): each leaves in one send
     disable_nagle_algorithm = True
+    timeout = DEFAULT_TIMEOUT_S  # an idle or stalled connection then frees its thread
 
     def parse_request(self) -> bool:
         self.command, self.request_version = None, "HTTP/1.1"  # for an error reply
@@ -207,15 +209,34 @@ class _RpcRequestHandler(BaseHTTPRequestHandler):
         pass  # keep stdout clean; traces carry the interesting data
 
 
-class _HttpServer(ThreadingHTTPServer):
-    """Tracks its open connections so that closing the server ends them too;
-    a kept-alive connection would otherwise go on being served by its
+class ToolServer(ThreadingHTTPServer):
+    """One HTTP tool server bound to a host; serves on a daemon thread.
+
+    It tracks its open connections so that closing the server ends them
+    too; a kept-alive connection would otherwise go on being served by its
     handler thread."""
 
-    def __init__(self, address: tuple[str, int]) -> None:
-        super().__init__(address, _RpcRequestHandler)
+    def __init__(self, host: ToolHost, bind_host: str = "127.0.0.1", port: int = 0):
+        super().__init__((bind_host, port), _RpcRequestHandler)
+        self.tool_host = host
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
+        self._thread = threading.Thread(
+            target=self.serve_forever, args=(SERVE_POLL_S,), daemon=True
+        )
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.server_address[:2]
+
+    @property
+    def url(self) -> str:
+        host, port = self.address
+        return f"http://{host}:{port}"
+
+    def start(self) -> "ToolServer":
+        self._thread.start()
+        return self
 
     def process_request(self, request: Any, client_address: Any) -> None:
         with self._open_lock:
@@ -232,42 +253,15 @@ class _HttpServer(ThreadingHTTPServer):
         if not isinstance(sys.exc_info()[1], ConnectionError):
             super().handle_error(request, client_address)
 
-    def close_connections(self) -> None:
+    def close(self) -> None:
+        self.shutdown()  # accepts no more connections
+        self.server_close()
         with self._open_lock:
             for request in self._open:
                 try:
                     request.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass  # the peer has gone already
-
-
-class ToolServer:
-    """One HTTP tool server bound to a host; runs on a daemon thread."""
-
-    def __init__(self, host: ToolHost, bind_host: str = "127.0.0.1", port: int = 0):
-        self._httpd = _HttpServer((bind_host, port))
-        self._httpd.tool_host = host  # type: ignore[attr-defined]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, args=(SERVE_POLL_S,), daemon=True
-        )
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ToolServer":
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._httpd.shutdown()  # accepts no more connections
-        self._httpd.server_close()
-        self._httpd.close_connections()
 
     def __enter__(self) -> "ToolServer":
         return self.start()
@@ -381,7 +375,8 @@ class HttpTransport(_TransportBase):
     connections need no lock. A request is never sent twice: ``tools/call``
     is not idempotent, so a broken connection or reply fails the call and the
     next request opens a new connection. A server that closes after every
-    reply (HTTP/1.0, ``Connection: close``) gets a new connection per request.
+    reply (HTTP/1.0, ``Connection: close``) gets a new connection per request,
+    and one that closed an idle connection gets a new one before the request.
     """
 
     def __init__(
@@ -397,6 +392,10 @@ class HttpTransport(_TransportBase):
         self._connections: dict[int, tuple[socket.socket, BinaryIO, bytes]] = {}
 
     def _connection(self, server_id: int) -> tuple[socket.socket, BinaryIO, bytes]:
+        kept = self._connections.get(server_id)
+        # readable between replies: the server closed it, and nothing was sent on it
+        if kept and select.select([kept[0]], [], [], 0)[0]:
+            self._drop(server_id)
         if server_id not in self._connections:
             url = self.urls.get(server_id)
             if url is None:

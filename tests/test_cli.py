@@ -244,6 +244,28 @@ def test_fault_that_does_not_fit_fails_before_any_run(tmp_path, capsys):
         ),
         pytest.param({"models": []}, "scenario A has no runs to do", id="no-models"),
         pytest.param(
+            # two runs would share one run id, one tool session and one report row
+            {"models": [{"model_id": "m"}, {"model_id": "m", "fault": {"kind": "no_calls"}}]},
+            "model_id 'm' names more than one model",
+            id="duplicate-model-id",
+        ),
+        # a model id goes into each run's session header, which HTTP cannot carry
+        pytest.param(
+            {"models": [{"model_id": "m\r"}]},
+            "model 'm\\r': model_id must be Latin-1, no CR or LF",
+            id="model-id-cr",
+        ),
+        pytest.param(
+            {"models": [{"model_id": "m\nX-Run-Session: other"}]},
+            "model 'm\\nX-Run-Session: other': model_id must be Latin-1, no CR or LF",
+            id="model-id-lf",
+        ),
+        pytest.param(
+            {"models": [{"model_id": "mĀ"}]},
+            "model 'mĀ': model_id must be Latin-1, no CR or LF",
+            id="model-id-not-latin-1",
+        ),
+        pytest.param(
             {"scenario_a": {"approaches": []}},
             "scenario A has no runs to do",
             id="no-approaches",

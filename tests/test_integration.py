@@ -3,6 +3,7 @@ against a fake endpoint, stage purity, and worker-pool determinism."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tempfile
 import threading
@@ -11,10 +12,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from procharness import agent, prompts, runner
+from procharness import agent, cli, prompts, runner
 from procharness.agent import (
     Approach,
     RemoteEndpointConfig,
@@ -30,7 +31,7 @@ from procharness.config import (
     ScenarioBConfig,
     config_from_dict,
 )
-from procharness.model import Outcome, TerminatedReason, TraceLevel, effective_trace
+from procharness.model import ModelError, Outcome, TerminatedReason, TraceLevel, effective_trace
 from procharness.runner import (
     SCENARIO_A,
     SCENARIO_B,
@@ -43,11 +44,16 @@ from procharness.runner import (
     write_reports,
 )
 from procharness.toolsim import (
+    AUTH_TOOL,
+    ENCAP_TOOL,
     ENCAPSULATED_SERVER_ID,
     KPI_SERVER_ID,
+    KPI_TOOL_NAMES,
     META_TOOL_NAME,
     PROCEDURE_SERVER_ID,
+    SESSION_TYPES,
 )
+from procharness.toolsim.ue import static_family_compatible
 from procharness.wire import SERVE_POLL_S, ToolServer
 
 
@@ -231,6 +237,111 @@ def test_resume_after_a_torn_write_gives_the_uninterrupted_archive(
         assert archive.read_bytes() == uninterrupted_archive
 
 
+_STATIC_IPS = {"IPv4": "10.0.0.42", "IPv6": "2001:db8::42"}
+
+
+@st.composite
+def _allocation(draw):
+    """A fixture set and a request that take the rejected, the static-IP or
+    the DHCP branch of the allocation rules."""
+    branch = draw(st.sampled_from(["rejected", "static", "dhcp"]))
+    event(f"{branch} branch")
+    session_type = draw(st.sampled_from(list(_STATIC_IPS) if branch == "static" else SESSION_TYPES))
+    authorized = draw(st.sets(st.sampled_from([t for t in SESSION_TYPES if t != session_type])))
+    static_ip = draw(st.sampled_from([None, *_STATIC_IPS.values()]))
+    if branch == "static":
+        static_ip = _STATIC_IPS[session_type]
+    elif branch == "dhcp" and static_ip and static_family_compatible(static_ip, session_type):
+        static_ip = None  # a static address of another family leaves DHCP to run
+    if branch != "rejected":
+        authorized.add(session_type)
+    fixture = {"ue_id": "ue-001", "authorized_session_types": sorted(authorized)}
+    ue_id = draw(st.sampled_from(["ue-001", "ue-404"])) if branch == "rejected" else "ue-001"
+    return [{**fixture, "static_ip": static_ip}], {"ue_id": ue_id, "session_type": session_type}
+
+
+_FAULTS = st.one_of(
+    st.just({}),
+    st.just({"kind": "no_calls"}),
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(
+            ["stop_after", "duplicate_step", "swap_steps", "hallucinate_name_at", "drop_param_at"]
+        ),
+        "step": st.integers(1, 6),
+    }),
+    st.fixed_dictionaries({
+        "kind": st.just("call_outside_at"),
+        "step": st.integers(1, 6),
+        "tool": st.sampled_from([AUTH_TOOL, ENCAP_TOOL, KPI_TOOL_NAMES[0]]),
+    }),
+    st.fixed_dictionaries({
+        "kind": st.just("random_stop"),
+        "prob": st.floats(0, 1),
+        "seed": st.integers(0, 99),
+    }),
+)
+
+
+@st.composite
+def _configs(draw):
+    fixtures, request = draw(_allocation())
+    approaches = st.lists(st.sampled_from([a.value for a in Approach]), min_size=1, unique=True)
+    faults = draw(st.lists(_FAULTS, min_size=1, max_size=3))
+    return config_from_dict({
+        "seed": draw(st.integers(0, 2**16)),
+        "workers": draw(st.integers(1, 4)),
+        "tool_latency_ms": draw(st.integers(0, 2)),
+        "scenario_a": {
+            "runs_per_cell": draw(st.integers(1, 2)),
+            "approaches": draw(approaches),
+            "fixtures": fixtures,
+            "request": request,
+        },
+        "scenario_b": {
+            "runs_per_cell": draw(st.integers(1, 2)),
+            "k_values": draw(st.lists(st.integers(1, 10), min_size=1, max_size=3, unique=True)),
+        },
+        "models": [{"model_id": f"m{i}", "fault": fault} for i, fault in enumerate(faults)],
+    })
+
+
+def _archive_bytes(config, scenario, path, server_urls=None):
+    """The archive a batch leaves, or None when its config is refused: then
+    no line is written."""
+    before = path.read_bytes() if path.exists() else b""
+    try:
+        run_batch(config, scenario, path, server_urls)
+    except ModelError:
+        assert (path.read_bytes() if path.exists() else b"") == before
+        return None
+    return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_configs(), data=st.data())
+def test_every_transport_worker_count_and_resume_gives_one_archive(config, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        env = HarnessEnv(config)
+        servers = [ToolServer(env.hosts[i]).start() for i in (1, 2, 3)]
+        try:
+            urls = {i: server.url for i, server in zip((1, 2, 3), servers)}
+            for scenario in (SCENARIO_A, SCENARIO_B):
+                name = scenario.lower()
+                serial = dataclasses.replace(config, workers=1)
+                expected = _archive_bytes(serial, scenario, Path(tmp, f"serial_{name}.jsonl"))
+                event(f"scenario {scenario} {'refused' if expected is None else 'ran'}")
+                archive = Path(tmp, f"resumed_{name}.jsonl")
+                if expected is not None:
+                    archive.write_bytes(expected[: data.draw(st.integers(0, len(expected)))])
+                assert _archive_bytes(config, scenario, archive) == expected
+                for label, urls_or_none in (("loopback", None), ("http", urls)):
+                    path = Path(tmp, f"{label}_{name}.jsonl")
+                    assert _archive_bytes(config, scenario, path, urls_or_none) == expected
+        finally:
+            for server in servers:
+                server.close()
+
+
 def test_run_plans_are_built_once_per_batch(tmp_path, monkeypatch):
     counts = Counter()
 
@@ -297,6 +408,18 @@ def test_classify_writes_back_the_line_it_read(tmp_path):
         "verdict_agent": classified["verdict_agent"],
         "verdict_flattened": None,
     }
+
+
+def test_classify_in_place_gives_the_same_bytes(tmp_path, capsys):
+    run_batch(_small_config(), SCENARIO_A, tmp_path / "runs_a.jsonl")
+    assert cli.main(["classify", "--scenario", "A", "--out", str(tmp_path)]) == 0
+    classified = tmp_path / "runs_a_classified.jsonl"
+    before = classified.read_bytes()
+    argv = ["classify", "--scenario", "A", "--out", str(tmp_path), "--archive", str(classified)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("classified 8 runs")
+    assert classified.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs_a.jsonl", classified.name]
 
 
 def test_worker_pool_preserves_results(tmp_path):

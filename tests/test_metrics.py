@@ -70,6 +70,13 @@ def test_latency_counts_non_nested_internals():
     assert latency_cost_ms(run) == 10 + 10 + 5
 
 
+def test_latency_reads_sub_calls_by_trace_order():
+    # a sub-call belongs to the last agent-issued call before it, so one that
+    # nests only in an earlier call's interval is counted
+    run = _run([(0, 10)], [(10, 50), (50, 60)], internal_intervals=[(20, 30)])
+    assert latency_cost_ms(run) == 10 + 40 + 10 + 10
+
+
 def test_llm_and_tool_counts():
     run = _run([(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 3)], [(2, 3)])
     assert n_llm_count(run) == 2

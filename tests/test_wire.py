@@ -4,6 +4,7 @@ import contextlib
 import http.client
 import itertools
 import json
+import select
 import socket
 import threading
 import time
@@ -809,6 +810,46 @@ def test_closing_a_server_with_an_idle_kept_alive_connection_is_quick(procedure_
         transport.close()  # ends the idle connection, so a blocked close returns
     closer.join(2.0)
     assert closed_in_time and not closer.is_alive()
+
+
+def _handler_threads():
+    return {t for t in threading.enumerate() if t.name.endswith("(process_request_thread)")}
+
+
+def test_stalled_connections_free_their_handler_threads(
+    procedure_host, monkeypatch, accepted_connections
+):
+    assert wire._RpcRequestHandler.timeout == wire.DEFAULT_TIMEOUT_S
+    monkeypatch.setattr(wire._RpcRequestHandler, "timeout", 0.5)
+    before = _handler_threads()
+    with ToolServer(procedure_host) as server, contextlib.ExitStack() as clients:
+        for _ in range(20):  # each stops mid-body and keeps its socket open
+            sock = clients.enter_context(socket.create_connection(server.address, 2.0))
+            sock.sendall(_post(_VALID_CALL)[:-10])
+        deadline = time.monotonic() + 5.0
+        while len(accepted_connections) < 20 or _handler_threads() - before:
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert len(accepted_connections) == 20
+        assert not _handler_threads() - before
+
+
+def test_a_transport_idle_past_the_server_timeout_reconnects(
+    procedure_host, monkeypatch, accepted_connections
+):
+    monkeypatch.setattr(wire._RpcRequestHandler, "timeout", 0.2)
+    with ToolServer(procedure_host) as server:
+        transport = HttpTransport({2: server.url}, MonotonicClock(), timeout_s=2.0)
+        try:
+            (first,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "idle")
+            kept = transport._connections[2][0]
+            assert select.select([kept], [], [], 5.0)[0]  # the server closed it
+            (second,) = transport.call_tool(2, "dhcpv4_allocate", {"ue_id": "ue-002"}, "idle")
+        finally:
+            transport.close()
+    assert [first.result["address"], second.result["address"]] == ["100.64.0.1", "100.64.0.2"]
+    assert len(accepted_connections) == 2
 
 
 def test_urllib_posts_to_the_server(procedure_host):

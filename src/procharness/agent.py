@@ -13,9 +13,10 @@ import random
 import time
 import urllib.error
 import urllib.request
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
 from . import prompts
 from .model import (

@@ -6,7 +6,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
 from .model import INLINE, Jsonable, ModelError, Procedure, RunRecord, Verdict
 
@@ -35,6 +35,14 @@ def append_document(path: Path, doc: RunDocument) -> None:
         fh.write(json.dumps(doc.to_dict(), sort_keys=True) + "\n")
 
 
+def verdict_pair(agent: Any, flattened: Any) -> bytes:
+    """The end of a line as ``append_document`` writes it: the verdict keys
+    sort last among a document's keys."""
+    pair = ', "verdict_agent": %s, "verdict_flattened": %s}' % (
+        json.dumps(agent, sort_keys=True), json.dumps(flattened, sort_keys=True))
+    return pair.encode("utf-8")
+
+
 def drop_torn_tail(path: Path) -> None:
     """Cut a last line that lacks its newline, as a crash in mid-write
     leaves it, so that the next append starts a line of its own. The run
@@ -46,8 +54,10 @@ def drop_torn_tail(path: Path) -> None:
             os.truncate(path, end)
 
 
-def iter_lines(path: Path) -> Iterator[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
+def iter_lines(path: Path) -> Iterator[tuple[int, bytes]]:
+    """The non-blank lines of an archive, numbered, as bytes: a caller
+    decodes each one, so a line that is not UTF-8 is one bad line."""
+    with open(path, "rb", buffering=1 << 16) as fh:  # over a line (up to 22 KB)
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
@@ -61,8 +71,8 @@ def existing_run_ids(path: Path) -> set[str]:
         return ids
     for _, line in iter_lines(path):
         try:
-            ids.add(json.loads(line)["run_id"])
-        except (json.JSONDecodeError, KeyError, TypeError):
+            ids.add(json.loads(line.decode("utf-8"))["run_id"])
+        except (ValueError, KeyError, TypeError):
             continue  # not a run object: the run is not counted as done
     return ids
 
@@ -73,7 +83,7 @@ def load_documents(path: Path) -> list[RunDocument]:
     docs = []
     for lineno, line in iter_lines(path):
         try:
-            docs.append(RunDocument.from_dict(json.loads(line)))
+            docs.append(RunDocument.from_dict(json.loads(line.decode("utf-8"))))
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             raise ModelError(f"{path}:{lineno}: not a run document ({exc})") from None
     return docs

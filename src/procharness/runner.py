@@ -34,6 +34,7 @@ from .archive import (
     drop_torn_tail,
     existing_run_ids,
     iter_lines,
+    verdict_pair,
 )
 from .classify import classify
 from .config import HarnessConfig, ModelConfig
@@ -349,18 +350,21 @@ def classify_archive(config: HarnessConfig, in_path: Path, out_path: Path) -> tu
     """Write every line back as it was read, with its two verdict keys set;
     the verdicts judge the line's own ground truth on the fixed registries
     of the servers, so no run plan, host or pool is built and ``config`` is
-    not read. Corrupt lines are reported with their line number and
-    skipped. The lines go to a file beside ``out_path`` that replaces it at
-    the end, so ``out_path`` may be ``in_path``, and a crash leaves either
-    the old file or the whole new one. Returns (classified, corrupt)."""
+    not read. A line that ends in its verdict pair as the harness writes it
+    keeps its bytes up to that pair, and only the pair is rewritten; any
+    other line is encoded anew with sorted keys. Corrupt lines are reported
+    with their line number and skipped. The lines go to a file beside
+    ``out_path`` that replaces it at the end, so ``out_path`` may be
+    ``in_path``, and a crash leaves either the old file or the whole new
+    one. Returns (classified, corrupt)."""
     classified = 0
     corrupt = 0
     tmp_path = out_path.with_name(out_path.name + ".tmp")
     try:
-        with open(tmp_path, "w", encoding="utf-8") as out:
+        with open(tmp_path, "wb") as out:
             for lineno, line in iter_lines(in_path):
                 try:
-                    data = json.loads(line)
+                    data = json.loads(line.decode("utf-8"))
                     doc = RunDocument.from_dict(data)
                 except Exception as exc:
                     corrupt += 1
@@ -368,13 +372,20 @@ def classify_archive(config: HarnessConfig, in_path: Path, out_path: Path) -> tu
                     continue
                 registry = visible_registry(doc.scenario, doc.run.approach)
                 agent_view = effective_trace(doc.run, TraceLevel.AGENT, registry)
-                data["verdict_agent"] = classify(doc.expected, agent_view, registry).to_dict()
-                data["verdict_flattened"] = None
+                agent = classify(doc.expected, agent_view, registry).to_dict()
+                flattened = None
                 if doc.expected_flattened is not None:
                     flat_view = effective_trace(doc.run, TraceLevel.FLATTENED, FLATTENED_REGISTRY)
                     verdict = classify(doc.expected_flattened, flat_view, FLATTENED_REGISTRY)
-                    data["verdict_flattened"] = verdict.to_dict()
-                out.write(json.dumps(data, sort_keys=True) + "\n")
+                    flattened = verdict.to_dict()
+                # a valid line's last "}" closes the document, so a matching end
+                # is its last two members, the ones json.loads kept
+                old = verdict_pair(data.get("verdict_agent"), data.get("verdict_flattened"))
+                if line.endswith(old):
+                    out.write(line[: -len(old)] + verdict_pair(agent, flattened) + b"\n")
+                else:
+                    data["verdict_agent"], data["verdict_flattened"] = agent, flattened
+                    out.write(json.dumps(data, sort_keys=True).encode("utf-8") + b"\n")
                 classified += 1
         os.replace(tmp_path, out_path)
     finally:

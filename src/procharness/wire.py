@@ -14,15 +14,18 @@ run (section 9). A request, like a reply, leaves in one send.
 
 from __future__ import annotations
 
+import email.utils
 import itertools
 import json
 import select
 import socket
 import sys
 import threading
+import time
+from collections.abc import Mapping
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, BinaryIO, Mapping
+from typing import Any, BinaryIO
 from urllib.parse import urlsplit
 
 from .model import CallOrigin, ToolCallRecord, normalize_arguments
@@ -159,6 +162,17 @@ class _RpcRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     timeout = DEFAULT_TIMEOUT_S  # an idle or stalled connection then frees its thread
 
+    def date_time_string(self, timestamp: float | None = None) -> str:
+        """The ``Date`` header, formatted once a second: it has one-second
+        resolution, so the bytes are those of ``formatdate``."""
+        server: ToolServer = self.server  # type: ignore[assignment]
+        now = int(time.time() if timestamp is None else timestamp)
+        second, text = server.date  # one read: another thread may replace it
+        if second != now:
+            text = email.utils.formatdate(now, usegmt=True)
+            server.date = (now, text)
+        return text
+
     def parse_request(self) -> bool:
         self.command, self.request_version = None, "HTTP/1.1"  # for an error reply
         self.requestline = self.raw_requestline.decode("latin-1").rstrip("\r\n")
@@ -180,7 +194,7 @@ class _RpcRequestHandler(BaseHTTPRequestHandler):
         return True
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        host: ToolHost = self.server.tool_host  # type: ignore[attr-defined]
+        server: ToolServer = self.server  # type: ignore[assignment]
         session_id = self.headers.get(SESSION_HEADER.lower(), "default")
         length = self.headers.get("content-length")  # the one framing spoken here
         if length is None or "transfer-encoding" in self.headers:
@@ -197,8 +211,13 @@ class _RpcRequestHandler(BaseHTTPRequestHandler):
         except ValueError:  # not UTF-8, or not JSON
             response = _error(None, ERR_PARSE, "request body is not valid JSON")
         else:
-            response = handle_rpc(host, payload, session_id)
-        body = json.dumps(response).encode("utf-8")
+            response = handle_rpc(server.tool_host, payload, session_id)
+        if response.get("result", {}).get("tools") is server.tools:
+            # a tools/list reply: only its id is encoded per request
+            body = b'{"jsonrpc": "2.0", "id": %s, "result": %s}' % (
+                json.dumps(response["id"]).encode("utf-8"), server.tools_result)
+        else:
+            body = json.dumps(response).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -219,6 +238,9 @@ class ToolServer(ThreadingHTTPServer):
     def __init__(self, host: ToolHost, bind_host: str = "127.0.0.1", port: int = 0):
         super().__init__((bind_host, port), _RpcRequestHandler)
         self.tool_host = host
+        self.tools = host.list_tools()  # never changes, so its reply is encoded once
+        self.tools_result = json.dumps({"tools": self.tools}).encode("utf-8")
+        self.date = (0, "")  # (second, Date header) of the last reply
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
         self._thread = threading.Thread(
@@ -254,7 +276,8 @@ class ToolServer(ThreadingHTTPServer):
             super().handle_error(request, client_address)
 
     def close(self) -> None:
-        self.shutdown()  # accepts no more connections
+        if self._thread.ident is not None:  # shutdown() waits for a loop that ran
+            self.shutdown()  # accepts no more connections
         self.server_close()
         with self._open_lock:
             for request in self._open:

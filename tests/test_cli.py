@@ -390,6 +390,24 @@ def test_classify_skips_corrupt_lines(tmp_path, small_config, capsys):
     assert len(load_documents(out / "runs_a_classified.jsonl")) == 8
 
 
+def test_a_line_that_is_not_utf8_is_corrupt_not_a_traceback(tmp_path, small_config, capsys):
+    out = tmp_path / "out"
+    common = ("--scenario", "A", "--config", str(small_config), "--out", str(out))
+    assert _cli("run", *common) == 0
+    archive = out / "runs_a.jsonl"
+    with open(archive, "ab") as fh:
+        fh.write(b"\xff\xfe{}\n")
+    assert _cli("run", *common) == 0  # the resume scan counts it as no run
+    assert len(archive.read_bytes().splitlines()) == 9
+    capsys.readouterr()
+    assert _cli("classify", *common) == 2
+    assert f"{archive}:9: skipping corrupt record" in capsys.readouterr().err
+    assert len(load_documents(out / "runs_a_classified.jsonl")) == 8
+    assert _cli("report", *common, "--archive", str(archive)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"procharness report: {archive}:9: not a run document (")
+
+
 def test_run_resumes_past_lines_that_are_not_run_objects(tmp_path, small_config):
     out = tmp_path / "out"
     argv = ("run", "--scenario", "A", "--config", str(small_config), "--out", str(out))

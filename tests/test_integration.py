@@ -22,7 +22,7 @@ from procharness.agent import (
     build_context,
     descriptor_to_chat_tool,
 )
-from procharness.archive import load_documents
+from procharness.archive import RunDocument, load_documents
 from procharness.classify import classify
 from procharness.config import (
     HarnessConfig,
@@ -420,6 +420,76 @@ def test_classify_in_place_gives_the_same_bytes(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("classified 8 runs")
     assert classified.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["runs_a.jsonl", classified.name]
+
+
+def _verdicts(data):
+    """The verdict keys of a line as classifying it whole sets them."""
+    doc = RunDocument.from_dict(data)
+    registry = visible_registry(doc.scenario, doc.run.approach)
+    view = effective_trace(doc.run, TraceLevel.AGENT, registry)
+    verdicts = {
+        "verdict_agent": classify(doc.expected, view, registry).to_dict(),
+        "verdict_flattened": None,
+    }
+    if doc.expected_flattened is not None:
+        flat = effective_trace(doc.run, TraceLevel.FLATTENED, runner.FLATTENED_REGISTRY)
+        verdict = classify(doc.expected_flattened, flat, runner.FLATTENED_REGISTRY)
+        verdicts["verdict_flattened"] = verdict.to_dict()
+    return verdicts
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_configs())
+def test_classify_gives_the_bytes_of_a_whole_line_encode(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        for scenario in (SCENARIO_A, SCENARIO_B):
+            archive = Path(tmp, f"runs_{scenario.lower()}.jsonl")
+            refused = _archive_bytes(config, scenario, archive) is None
+            event(f"scenario {scenario} {'refused' if refused else 'ran'}")
+            if refused:
+                continue
+            out = Path(tmp, f"classified_{scenario.lower()}.jsonl")
+            lines = [json.loads(line) for line in archive.read_text(encoding="utf-8").splitlines()]
+            assert classify_archive(config, archive, out) == (len(lines), 0)
+            expected = [json.dumps({**data, **_verdicts(data)}, sort_keys=True) for data in lines]
+            assert out.read_text(encoding="utf-8").splitlines() == expected
+            classified = out.read_bytes()
+            assert classify_archive(config, out, out) == (len(lines), 0)
+            assert out.read_bytes() == classified
+
+
+def test_classify_splices_only_a_line_that_ends_in_the_harness_form(tmp_path):
+    """A foreign line keeps its other members and gets the verdicts a whole
+    re-encode gives; only a line ending in its verdict pair as the harness
+    writes it keeps its head as read."""
+    archive, classified = tmp_path / "runs_a.jsonl", tmp_path / "classified.jsonl"
+    run_batch(_small_config(), SCENARIO_A, archive)
+    classify_archive(HarnessConfig(), archive, classified)
+    for source in (archive, classified):  # null verdicts, then verdict objects
+        data = json.loads(source.read_text(encoding="utf-8").splitlines()[-1])
+        assert data["expected_flattened"] is not None  # an A4 run: two verdicts
+        old = {key: data.pop(key) for key in ("verdict_agent", "verdict_flattened")}
+        new = _verdicts(data)
+
+        def pair(verdicts):  # the last two members and the closing brace
+            return json.dumps(verdicts, sort_keys=True)[1:]
+
+        unsorted_head = json.dumps(dict(reversed(data.items())))[:-1]
+        stale_head = '{"verdict_agent": {"stale": 1}, ' + json.dumps(data, sort_keys=True)[1:-1]
+        cases = {head + ", " + pair(old): head + ", " + pair(new) for head in (
+            unsorted_head, stale_head)}
+        for line in (
+            json.dumps({**data, **old}, sort_keys=True, separators=(" ,", " : ")),
+            json.dumps(data, sort_keys=True),
+            json.dumps({**old, **data}),
+        ):
+            cases[line] = json.dumps({**data, **new}, sort_keys=True)
+        foreign, out = tmp_path / "foreign.jsonl", tmp_path / "foreign_classified.jsonl"
+        foreign.write_text("".join(line + "\n" for line in cases), encoding="utf-8")
+        assert classify_archive(HarnessConfig(), foreign, out) == (len(cases), 0)
+        written = out.read_text(encoding="utf-8").splitlines()
+        assert written == list(cases.values())
+        assert all(json.loads(line) == {**data, **new} for line in written)
 
 
 def test_worker_pool_preserves_results(tmp_path):

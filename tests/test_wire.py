@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import email.utils
 import http.client
 import itertools
 import json
@@ -524,6 +525,38 @@ def test_closing_an_idle_server_is_quick(fixtures):
     started = time.perf_counter()
     server.close()
     assert time.perf_counter() - started < 0.25
+
+
+def _closes_within(server, seconds):
+    closer = threading.Thread(target=server.close, daemon=True)
+    closer.start()
+    closer.join(seconds)
+    return not closer.is_alive()
+
+
+def test_closing_a_server_that_never_started_returns_at_once(procedure_host):
+    assert _closes_within(ToolServer(procedure_host), 2.0)
+
+
+def test_closing_a_server_right_after_its_start_returns(procedure_host):
+    assert _closes_within(ToolServer(procedure_host).start(), 2.0)
+
+
+@pytest.mark.parametrize("req_id", [7, "list-7", 2.5, None])
+def test_tools_list_reply_is_the_encoded_handle_rpc_reply(procedure_host, req_id):
+    payload = {"jsonrpc": "2.0", "id": req_id, "method": "tools/list"}
+    with ToolServer(procedure_host) as server:
+        conn = http.client.HTTPConnection(*server.address, timeout=2)
+        try:
+            before = int(time.time())
+            conn.request("POST", "/", json.dumps(payload), {SESSION_HEADER: "s"})
+            reply = conn.getresponse()
+            body, date = reply.read(), reply.getheader("Date")
+            after = int(time.time())
+        finally:
+            conn.close()
+    assert body == json.dumps(handle_rpc(procedure_host, payload, "s")).encode("utf-8")
+    assert date in {email.utils.formatdate(t, usegmt=True) for t in range(before, after + 1)}
 
 
 def test_session_header_name():

@@ -10,6 +10,8 @@ from typing import Any, Iterator
 
 from .model import INLINE, Jsonable, ModelError, Procedure, RunRecord, Verdict
 
+TAIL_BLOCK = 1 << 16  # bytes read at a time when looking for the last newline
+
 
 @dataclass(frozen=True)
 class RunDocument(Jsonable):
@@ -31,8 +33,13 @@ class RunDocument(Jsonable):
 
 
 def append_document(path: Path, doc: RunDocument) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc.to_dict(), sort_keys=True) + "\n")
+    line = (json.dumps(doc.to_dict(), sort_keys=True) + "\n").encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        while line:
+            line = line[os.write(fd, line):]
+    finally:
+        os.close(fd)
 
 
 def verdict_pair(agent: Any, flattened: Any) -> bytes:
@@ -46,12 +53,22 @@ def verdict_pair(agent: Any, flattened: Any) -> bytes:
 def drop_torn_tail(path: Path) -> None:
     """Cut a last line that lacks its newline, as a crash in mid-write
     leaves it, so that the next append starts a line of its own. The run
-    that line held is then missing and gets redone."""
-    if path.exists():
-        data = path.read_bytes()
-        end = data.rfind(b"\n") + 1
-        if end < len(data):
-            os.truncate(path, end)
+    that line held is then missing and gets redone. Only the tail is read,
+    a block at a time back from the end, until a newline turns up."""
+    if not path.exists():
+        return
+    with open(path, "rb") as fh:
+        size = start = fh.seek(0, os.SEEK_END)
+        end = 0
+        while start > 0:
+            start = max(0, start - TAIL_BLOCK)
+            fh.seek(start)
+            cut = fh.read(TAIL_BLOCK).rfind(b"\n")
+            if cut >= 0:
+                end = start + cut + 1
+                break
+    if end < size:
+        os.truncate(path, end)
 
 
 def iter_lines(path: Path) -> Iterator[tuple[int, bytes]]:

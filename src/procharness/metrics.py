@@ -123,6 +123,14 @@ def summarize(
     return summaries
 
 
+def _csv_field(text: str) -> str:
+    """A field as RFC 4180 writes it: quoted when it holds a comma, a quote
+    or a line break, with its quotes doubled."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def summary_csv_lines(
     summaries: Iterable[GroupSummary], fold_other_into_wrong_order: bool = False
 ) -> list[str]:
@@ -137,7 +145,7 @@ def summary_csv_lines(
         cols = [
             s.key.scenario,
             s.key.approach,
-            s.key.model_id,
+            _csv_field(s.key.model_id),
             str(s.key.k),
             str(s.runs),
             f"{s.correctness_rate:.6f}",

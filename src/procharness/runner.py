@@ -11,7 +11,7 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -318,10 +318,14 @@ def run_batch(
     server_urls: Mapping[int, str] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> BatchStats:
-    """Execute every cell, appending one document per run; cells already in
-    the archive are skipped so interrupted batches can resume. A batch with
-    no cells, or a fault program that does not fit, raises ``ModelError``
-    before any run."""
+    """Execute every cell, appending one document per run in cell order;
+    cells already in the archive are skipped so interrupted batches can
+    resume. The batch's thread and ``workers - 1`` helper threads each take
+    the next cell, and the thread that finishes the next run to be written
+    appends it and every finished run after it. A run that raises, or
+    Ctrl-C, starts no further run: the helpers are joined and the first
+    exception is raised. A batch with no cells, or a fault program that
+    does not fit, raises ``ModelError`` before any run."""
     env = HarnessEnv(config, server_urls)
     cells = env.cells(scenario)
     if not cells:
@@ -333,16 +337,61 @@ def run_batch(
     _check_fault_programs(env, todo)
     archive_path.parent.mkdir(parents=True, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [(cell, pool.submit(execute_run, env, cell)) for cell in todo]
-        for i, (cell, future) in enumerate(futures, start=1):
-            doc = future.result()
-            append_document(archive_path, doc)
-            stats.attempted += 1
-            if doc.run.terminated_reason is TerminatedReason.BACKEND_ERROR:
-                stats.backend_errors += 1
-            if progress and (i % 25 == 0 or i == len(futures)):
-                progress(f"{scenario}: {i}/{len(futures)} runs done")
+    lock = threading.Lock()
+    pending = iter(enumerate(todo))  # emptied to stop the batch
+    finished: dict[int, RunDocument] = {}  # runs done out of order
+    written = 0
+    failures: list[BaseException] = []
+
+    def work() -> None:
+        nonlocal written
+        while True:
+            with lock:
+                item = next(pending, None)
+            if item is None:
+                return
+            i, cell = item
+            doc: RunDocument | None = execute_run(env, cell)
+            with lock:
+                if i != written:
+                    finished[i] = doc
+                    continue
+            while doc is not None:  # this thread writes until a run is unfinished
+                append_document(archive_path, doc)
+                stats.attempted += 1
+                if doc.run.terminated_reason is TerminatedReason.BACKEND_ERROR:
+                    stats.backend_errors += 1
+                n = written + 1
+                if progress and (n % 25 == 0 or n == len(todo)):
+                    progress(f"{scenario}: {n}/{len(todo)} runs done")
+                with lock:
+                    written = n
+                    doc = finished.pop(n, None)
+
+    def stop() -> None:
+        nonlocal pending
+        with lock:
+            pending = iter(())
+
+    def helper() -> None:
+        try:
+            work()
+        except BaseException as exc:  # raised again on the batch thread
+            failures.append(exc)
+            stop()
+
+    helpers = [threading.Thread(target=helper) for _ in range(min(config.workers, len(todo)) - 1)]
+    try:
+        for thread in helpers:
+            thread.start()
+        work()
+    finally:
+        stop()
+        for thread in helpers:
+            if thread.ident is not None:  # started
+                thread.join()
+    if failures:
+        raise failures[0]
     return stats
 
 
@@ -403,6 +452,11 @@ def summaries_from_documents(docs: list[RunDocument]) -> list[GroupSummary]:
     return summarize(rows)
 
 
+def _cell(text: str) -> str:
+    """Text as a markdown table cell holds it: a pipe is escaped."""
+    return text.replace("|", "\\|")
+
+
 def render_markdown_report(summaries: list[GroupSummary]) -> str:
     lines = ["# Procedure execution report", ""]
     scenarios = sorted({s.key.scenario for s in summaries})
@@ -418,7 +472,7 @@ def render_markdown_report(summaries: list[GroupSummary]) -> str:
         lines.append("|---|---|---|---|---|---|---|")
         for s in rows:
             lines.append(
-                f"| {s.key.approach} | {s.key.model_id} | {s.key.k} | {s.runs} "
+                f"| {s.key.approach} | {_cell(s.key.model_id)} | {s.key.k} | {s.runs} "
                 f"| {s.correctness_rate:.3f} | {s.lat_median:.1f} | {s.mean_n_llm:.2f} |"
             )
         lines.append("")
@@ -430,7 +484,7 @@ def render_markdown_report(summaries: list[GroupSummary]) -> str:
         for s in rows:
             counts = [str(s.error_counts.get(h, 0)) for h in header]
             lines.append(
-                f"| {s.key.approach} | {s.key.model_id} | {s.key.k} | "
+                f"| {s.key.approach} | {_cell(s.key.model_id)} | {s.key.k} | "
                 + " | ".join(counts)
                 + " |"
             )

@@ -3,10 +3,16 @@ against a fake endpoint, stage purity, and worker-pool determinism."""
 
 from __future__ import annotations
 
+import _thread
+import csv
 import dataclasses
+import io
 import json
+import re
+import sys
 import tempfile
 import threading
+import time
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -22,7 +28,7 @@ from procharness.agent import (
     build_context,
     descriptor_to_chat_tool,
 )
-from procharness.archive import RunDocument, load_documents
+from procharness.archive import TAIL_BLOCK, RunDocument, drop_torn_tail, load_documents
 from procharness.classify import classify
 from procharness.config import (
     HarnessConfig,
@@ -235,6 +241,130 @@ def test_resume_after_a_torn_write_gives_the_uninterrupted_archive(
         archive.write_bytes(uninterrupted_archive[:cut])
         run_batch(_small_config(), SCENARIO_A, archive)
         assert archive.read_bytes() == uninterrupted_archive
+
+
+@pytest.mark.parametrize(
+    "content, kept",
+    [
+        (b"", b""),
+        (b"a\n" * 3, b"a\n" * 3),
+        (b"a\n" + b"x" * (3 * TAIL_BLOCK + 7), b"a\n"),
+        (b"y" * (TAIL_BLOCK - 1) + b"\n" + b"x" * TAIL_BLOCK,
+         b"y" * (TAIL_BLOCK - 1) + b"\n"),
+        (b"x" * (2 * TAIL_BLOCK + 1), b""),
+    ],
+    ids=["empty", "whole", "torn-over-blocks", "newline-ends-a-block", "no-newline"],
+)
+def test_drop_torn_tail_cuts_back_to_the_last_newline(tmp_path, content, kept):
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(content)
+    drop_torn_tail(path)
+    assert path.read_bytes() == kept
+
+
+def _ten_b_cells(workers):
+    return HarnessConfig(
+        workers=workers, scenario_b=ScenarioBConfig(runs_per_cell=5, k_values=(1, 2))
+    )
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_b_archive(tmp_path_factory):
+    path = tmp_path_factory.mktemp("uninterrupted_b") / "runs_b.jsonl"
+    run_batch(_ten_b_cells(1), SCENARIO_B, path)
+    return path.read_bytes()
+
+
+def _raise(stopped):
+    raise RuntimeError("the run failed")
+
+
+def _ctrl_c(stopped):
+    _thread.interrupt_main()  # on the batch thread, raises before the next line
+    stopped.set()
+    time.sleep(0.05)  # a helper lets the batch thread take the interrupt
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("stop, raised", [(_raise, RuntimeError), (_ctrl_c, KeyboardInterrupt)])
+def test_a_failed_run_or_ctrl_c_starts_no_further_run(
+    tmp_path, monkeypatch, uninterrupted_b_archive, workers, stop, raised
+):
+    config = _ten_b_cells(workers)
+    second = HarnessEnv(config).cells(SCENARIO_B)[1].run_id
+    started = []
+    stopped = threading.Event()
+
+    def execute(env, cell):
+        started.append(cell.run_id)
+        if cell.run_id == second:
+            try:
+                stop(stopped)
+            finally:
+                stopped.set()
+        elif len(started) > 2:
+            stopped.wait(10)  # a later cell goes on once the second has stopped the batch
+        return execute_run(env, cell)
+
+    monkeypatch.setattr(runner, "execute_run", execute)
+    threads = set(threading.enumerate())
+    path = tmp_path / "runs_b.jsonl"
+    with pytest.raises(raised):
+        run_batch(config, SCENARIO_B, path)
+    assert len(started) <= workers + 1
+    assert set(threading.enumerate()) <= threads
+    assert uninterrupted_b_archive.startswith(path.read_bytes())
+    monkeypatch.undo()
+    run_batch(config, SCENARIO_B, path)
+    assert path.read_bytes() == uninterrupted_b_archive
+
+
+def test_progress_and_lines_are_the_same_at_any_worker_count(tmp_path):
+    config = HarnessConfig(scenario_b=ScenarioBConfig(runs_per_cell=20, k_values=(1, 2, 3)))
+    threads = set(threading.enumerate())
+    archives = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so that workers racing on shared state would interleave
+    try:
+        for workers in (1, 4):
+            messages = []
+            path = tmp_path / f"runs_b_{workers}.jsonl"
+            config = dataclasses.replace(config, workers=workers)
+            run_batch(config, SCENARIO_B, path, progress=messages.append)
+            assert messages == ["B: 25/60 runs done", "B: 50/60 runs done", "B: 60/60 runs done"]
+            assert set(threading.enumerate()) <= threads
+            archives.append(path.read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert archives[0] == archives[1]
+
+
+def test_reports_keep_a_model_id_that_holds_a_comma_pipe_or_quote(tmp_path):
+    ids = ("gpt,4|x", 'say "hi"')
+    config = _small_config(models=tuple(ModelConfig(model_id=m) for m in ids))
+    raw, classified = tmp_path / "runs_a.jsonl", tmp_path / "classified.jsonl"
+    run_batch(config, SCENARIO_A, raw)
+    classify_archive(config, raw, classified)
+    csv_path, md_path = tmp_path / "summary.csv", tmp_path / "report.md"
+    write_reports(load_documents(classified), csv_path, md_path)
+
+    rows = list(csv.reader(io.StringIO(csv_path.read_text(encoding="utf-8"), newline="")))
+    assert len(rows) == 1 + 4 * len(ids)
+    assert {len(row) for row in rows} == {19}
+    assert {row[2] for row in rows[1:]} == set(ids)
+
+    def cells(line):
+        return len(re.findall(r"(?<!\\)\|", line)) - 1
+
+    header = None
+    for line in md_path.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("|"):
+            header = None
+        elif header is None:
+            header = cells(line)
+        else:
+            assert cells(line) == header, line
+    assert "| gpt,4\\|x |" in md_path.read_text(encoding="utf-8")
 
 
 _STATIC_IPS = {"IPv4": "10.0.0.42", "IPv6": "2001:db8::42"}

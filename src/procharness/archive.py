@@ -94,13 +94,17 @@ def existing_run_ids(path: Path) -> set[str]:
     return ids
 
 
-def load_documents(path: Path) -> list[RunDocument]:
-    """Every run of an archive; a line that does not decode to a run
-    raises ``ModelError`` naming it."""
-    docs = []
+def iter_documents(path: Path) -> Iterator[RunDocument]:
+    """The runs of an archive, one at a time, in file order; the first line
+    that does not decode to a run raises ``ModelError`` naming it."""
     for lineno, line in iter_lines(path):
         try:
-            docs.append(RunDocument.from_dict(json.loads(line.decode("utf-8"))))
+            doc = RunDocument.from_dict(json.loads(line.decode("utf-8")))
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             raise ModelError(f"{path}:{lineno}: not a run document ({exc})") from None
-    return docs
+        yield doc
+
+
+def load_documents(path: Path) -> list[RunDocument]:
+    """Every run of an archive, as ``iter_documents`` reads them."""
+    return list(iter_documents(path))

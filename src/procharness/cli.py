@@ -14,7 +14,7 @@ import sys
 import threading
 from pathlib import Path
 
-from .archive import load_documents
+from .archive import iter_documents
 from .config import HarnessConfig, load_config
 from .model import ModelError
 from .runner import (
@@ -210,6 +210,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if not in_path.exists():
         print(f"archive not found: {in_path}", file=sys.stderr)
         return EXIT_USAGE
+    args.out.mkdir(parents=True, exist_ok=True)
     out_path = _classified_path(args.out, args.scenario)
     classified, corrupt = classify_archive(config, in_path, out_path)
     print(f"classified {classified} runs ({corrupt} corrupt lines) -> {out_path}")
@@ -221,7 +222,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not in_path.exists():
         print(f"classified archive not found: {in_path}", file=sys.stderr)
         return EXIT_USAGE
-    docs = load_documents(in_path)
+    args.out.mkdir(parents=True, exist_ok=True)
+    docs = iter_documents(in_path)  # read one run at a time while summarizing
     csv_path = args.out / f"summary_{args.scenario.lower()}.csv"
     md_path = args.out / f"report_{args.scenario.lower()}.md"
     write_reports(docs, csv_path, md_path, fold_other_into_wrong_order=args.fold_other)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import statistics
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .model import CallOrigin, Outcome, RunRecord, Verdict
+from .archive import RunDocument
+from .model import CallOrigin, ModelError, Outcome, RunRecord
 
 CSV_HEADER = (
     "scenario,approach,model,k,runs,correctness_rate,"
@@ -49,13 +51,6 @@ def n_llm_count(run: RunRecord) -> int:
     return len(run.llm_steps)
 
 
-def n_tool_count(run: RunRecord) -> int:
-    """Number of tool invocations the agent issued (all scopes, meta
-    included); internal sub-calls execute inside their parent and do not
-    count as separate invocations."""
-    return sum(1 for r in run.trace.records if r.origin is CallOrigin.AGENT_ISSUED)
-
-
 @dataclass(frozen=True, order=True)
 class GroupKey:
     scenario: str
@@ -87,37 +82,42 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(
-    rows: Iterable[tuple[GroupKey, RunRecord, Verdict]]
-) -> list[GroupSummary]:
-    """One summary per distinct group key, ordered by key."""
-    groups: dict[GroupKey, list[tuple[RunRecord, Verdict]]] = {}
-    for key, run, verdict in rows:
-        groups.setdefault(key, []).append((run, verdict))
+def summarize(docs: Iterable[RunDocument]) -> list[GroupSummary]:
+    """One summary per (scenario, approach, model, k) group, ordered by key.
+
+    Each classified run is folded into its group as it is read: the group
+    keeps the run's latency, turn count and outcome, never the run itself.
+    """
+    groups = defaultdict(lambda: ([], [], Counter()))  # key -> (latencies, turns, outcomes)
+    for doc in docs:
+        if doc.verdict_agent is None:
+            raise ModelError(f"run {doc.run.run_id} has no verdict; classify first")
+        key = GroupKey(doc.scenario, doc.run.approach.value, doc.run.model_id, doc.k)
+        lats, turns, outcomes = groups[key]
+        lats.append(float(latency_cost_ms(doc.run)))
+        turns.append(n_llm_count(doc.run))
+        outcomes[doc.verdict_agent.outcome] += 1
 
     summaries = []
     for key in sorted(groups):
-        members = groups[key]
-        lats = sorted(float(latency_cost_ms(run)) for run, _ in members)
-        correct = sum(1 for _, v in members if v.outcome is Outcome.CORRECT)
-        errors: dict[str, int] = {}
-        for _, v in members:
-            if v.outcome is not Outcome.CORRECT:
-                errors[v.outcome.value] = errors.get(v.outcome.value, 0) + 1
+        lats, turns, outcomes = groups[key]
+        lats.sort()
         q1, q2, q3 = _quartiles(lats)
         summaries.append(
             GroupSummary(
                 key=key,
-                runs=len(members),
-                correctness_rate=correct / len(members),
+                runs=len(lats),
+                correctness_rate=outcomes[Outcome.CORRECT] / len(lats),
                 lat_min=lats[0],
                 lat_p25=q1,
                 lat_median=q2,
                 lat_p75=q3,
                 lat_max=lats[-1],
                 lat_mean=statistics.fmean(lats),
-                mean_n_llm=statistics.fmean(n_llm_count(run) for run, _ in members),
-                error_counts=errors,
+                mean_n_llm=statistics.fmean(turns),
+                error_counts={
+                    o.value: n for o, n in outcomes.items() if o is not Outcome.CORRECT
+                },
             )
         )
     return summaries

@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from . import prompts
 from .agent import (
@@ -38,7 +39,7 @@ from .archive import (
 )
 from .classify import classify
 from .config import HarnessConfig, ModelConfig
-from .metrics import GroupKey, GroupSummary, summarize, summary_csv_lines
+from .metrics import GroupSummary, summarize, summary_csv_lines
 from .model import (
     Approach,
     Intent,
@@ -442,19 +443,10 @@ def classify_archive(config: HarnessConfig, in_path: Path, out_path: Path) -> tu
     return classified, corrupt
 
 
-def summaries_from_documents(docs: list[RunDocument]) -> list[GroupSummary]:
-    rows = []
-    for doc in docs:
-        if doc.verdict_agent is None:
-            raise ModelError(f"run {doc.run.run_id} has no verdict; classify first")
-        key = GroupKey(doc.scenario, doc.run.approach.value, doc.run.model_id, doc.k)
-        rows.append((key, doc.run, doc.verdict_agent))
-    return summarize(rows)
-
-
 def _cell(text: str) -> str:
-    """Text as a markdown table cell holds it: a pipe is escaped."""
-    return text.replace("|", "\\|")
+    """Text as a markdown table cell holds it: a pipe is escaped and a line
+    break is rendered as ``<br>``, so the row stays one line."""
+    return re.sub(r"\r\n?|\n", "<br>", text.replace("|", "\\|"))
 
 
 def render_markdown_report(summaries: list[GroupSummary]) -> str:
@@ -493,12 +485,12 @@ def render_markdown_report(summaries: list[GroupSummary]) -> str:
 
 
 def write_reports(
-    docs: list[RunDocument],
+    docs: Iterable[RunDocument],
     csv_path: Path,
     markdown_path: Path,
     fold_other_into_wrong_order: bool = False,
 ) -> list[GroupSummary]:
-    summaries = summaries_from_documents(docs)
+    summaries = summarize(docs)
     csv_text = "\n".join(summary_csv_lines(summaries, fold_other_into_wrong_order)) + "\n"
     csv_path.write_text(csv_text, encoding="utf-8")
     markdown_path.write_text(render_markdown_report(summaries), encoding="utf-8")

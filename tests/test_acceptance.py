@@ -19,9 +19,10 @@ from procharness.classify import classify
 from procharness.cli import main as cli_main
 from procharness.config import HarnessConfig, ModelConfig
 from procharness.agent import FaultKind, FaultProgram
-from procharness.metrics import latency_cost_ms, n_llm_count, n_tool_count
+from procharness.metrics import latency_cost_ms, n_llm_count
 from procharness.model import (
     Approach,
+    CallOrigin,
     MonotonicClock,
     Outcome,
     TraceLevel,
@@ -225,7 +226,8 @@ def test_criterion_5_latency_additivity(contract_batch):
         for approach, runs in docs.items():
             for doc in runs:
                 run = doc.run
-                assert latency_cost_ms(run) == n_llm_count(run) + n_tool_count(run)
+                issued = sum(r.origin is CallOrigin.AGENT_ISSUED for r in run.trace.records)
+                assert latency_cost_ms(run) == n_llm_count(run) + issued
         # encapsulated internals are inside the parent envelope, never added
         a4 = docs[Approach.A4][0].run
         assert latency_cost_ms(a4) == 3  # 2 reasoning turns + 1 issued call

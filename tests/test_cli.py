@@ -402,10 +402,13 @@ def test_a_line_that_is_not_utf8_is_corrupt_not_a_traceback(tmp_path, small_conf
     capsys.readouterr()
     assert _cli("classify", *common) == 2
     assert f"{archive}:9: skipping corrupt record" in capsys.readouterr().err
-    assert len(load_documents(out / "runs_a_classified.jsonl")) == 8
-    assert _cli("report", *common, "--archive", str(archive)) == 1
+    classified = out / "runs_a_classified.jsonl"
+    assert len(load_documents(classified)) == 8
+    with open(classified, "ab") as fh:
+        fh.write(b"\xff\xfe{}\n")
+    assert _cli("report", *common) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"procharness report: {archive}:9: not a run document (")
+    assert line.startswith(f"procharness report: {classified}:9: not a run document (")
 
 
 def test_run_resumes_past_lines_that_are_not_run_objects(tmp_path, small_config):
@@ -451,6 +454,26 @@ def test_report_on_a_bad_archive_is_one_line_usage_error(tmp_path, small_config,
 
 def test_classify_missing_archive_is_usage_error(tmp_path):
     assert _cli("classify", "--scenario", "A", "--out", str(tmp_path)) == 1
+
+
+def test_classify_creates_a_new_out_dir(tmp_path, small_config):
+    common = ("--scenario", "A", "--config", str(small_config))
+    assert _cli("run", *common, "--out", str(tmp_path / "runs")) == 0
+    raw = tmp_path / "runs" / "runs_a.jsonl"
+    assert _cli("classify", *common, "--archive", str(raw), "--out", str(tmp_path / "c")) == 0
+    classified = tmp_path / "c" / "runs_a_classified.jsonl"
+    assert len(load_documents(classified)) == 8
+
+
+def test_report_creates_a_new_out_dir(tmp_path, small_config):
+    common = ("--scenario", "A", "--config", str(small_config), "--out", str(tmp_path / "runs"))
+    assert _cli("run", *common) == 0
+    assert _cli("classify", *common) == 0
+    classified = tmp_path / "runs" / "runs_a_classified.jsonl"
+    new = tmp_path / "new" / "reports"
+    assert _cli("report", "--scenario", "A", "--archive", str(classified), "--out", str(new)) == 0
+    assert (new / "summary_a.csv").read_text(encoding="utf-8").startswith(CSV_HEADER)
+    assert (new / "report_a.md").exists()
 
 
 def test_usage_error_exit_code():

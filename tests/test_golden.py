@@ -99,10 +99,17 @@ def test_pipeline_files_are_byte_identical(tmp_path, golden_config_path):
         write_reports(
             load_documents(classified), out / f"summary_{s}.csv", out / f"report_{s}.md"
         )
+        # the CLI streams the same archive into its own directory
+        argv = ["report", "--scenario", scenario, "--archive", str(classified)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--out", str(tmp_path / "cli")]) == cli.EXIT_OK
     written = sorted(p.name for p in out.iterdir())
     assert written == sorted(GOLDEN_FILES)
     got = {name: _sha256((out / name).read_bytes()) for name in GOLDEN_FILES}
     assert got == GOLDEN_FILES
+    reports = {p.name: _sha256(p.read_bytes()) for p in (tmp_path / "cli").iterdir()}
+    names = ("report_a.md", "report_b.md", "summary_a.csv", "summary_b.csv")
+    assert reports == {name: GOLDEN_FILES[name] for name in names}
 
 
 def test_wire_replies_are_byte_identical(golden_config_path):

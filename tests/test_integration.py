@@ -6,6 +6,7 @@ from __future__ import annotations
 import _thread
 import csv
 import dataclasses
+import gc
 import io
 import json
 import re
@@ -13,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -345,13 +347,18 @@ def test_reports_keep_a_model_id_that_holds_a_comma_pipe_or_quote(tmp_path):
     raw, classified = tmp_path / "runs_a.jsonl", tmp_path / "classified.jsonl"
     run_batch(config, SCENARIO_A, raw)
     classify_archive(config, raw, classified)
+    # the config refuses a line break in an id, but a foreign line can hold one
+    foreign = json.loads(classified.read_bytes().splitlines()[0])
+    foreign["model_id"] = "gpt\nx"
+    with open(classified, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(foreign, sort_keys=True) + "\n")
     csv_path, md_path = tmp_path / "summary.csv", tmp_path / "report.md"
     write_reports(load_documents(classified), csv_path, md_path)
 
     rows = list(csv.reader(io.StringIO(csv_path.read_text(encoding="utf-8"), newline="")))
-    assert len(rows) == 1 + 4 * len(ids)
+    assert len(rows) == 1 + 4 * len(ids) + 1
     assert {len(row) for row in rows} == {19}
-    assert {row[2] for row in rows[1:]} == set(ids)
+    assert {row[2] for row in rows[1:]} == {*ids, "gpt\nx"}
 
     def cells(line):
         return len(re.findall(r"(?<!\\)\|", line)) - 1
@@ -365,6 +372,31 @@ def test_reports_keep_a_model_id_that_holds_a_comma_pipe_or_quote(tmp_path):
         else:
             assert cells(line) == header, line
     assert "| gpt,4\\|x |" in md_path.read_text(encoding="utf-8")
+    assert md_path.read_text(encoding="utf-8").count("| gpt<br>x |") == 2
+
+
+def test_report_holds_one_run_at_a_time(tmp_path):
+    config = _small_config(scenario_b=ScenarioBConfig(runs_per_cell=10, k_values=(5, 10)))
+    raw, classified = tmp_path / "runs_b.jsonl", tmp_path / "classified.jsonl"
+    run_batch(config, SCENARIO_B, raw)
+    classify_archive(config, raw, classified)
+    refs, most_alive = [], []
+
+    def docs():
+        with open(classified, "rb") as fh:
+            for line in fh:
+                doc = RunDocument.from_dict(json.loads(line))
+                most_alive.append(sum(r() is not None or d() is not None for d, r in refs))
+                refs.append((weakref.ref(doc), weakref.ref(doc.run)))
+                yield doc
+
+    gc.disable()
+    try:
+        summaries = write_reports(docs(), tmp_path / "summary.csv", tmp_path / "report.md")
+    finally:
+        gc.enable()
+    assert sum(s.runs for s in summaries) == len(refs) == 20
+    assert max(most_alive) <= 1, most_alive
 
 
 _STATIC_IPS = {"IPv4": "10.0.0.42", "IPv6": "2001:db8::42"}

@@ -1,27 +1,29 @@
 from __future__ import annotations
 
+from procharness.archive import RunDocument
 from procharness.metrics import (
     CSV_HEADER,
     GroupKey,
     latency_cost_ms,
     n_llm_count,
-    n_tool_count,
     summarize,
     summary_csv_lines,
 )
 from procharness.model import (
     Approach,
     CallOrigin,
+    ExpectedStep,
     Intent,
     ObservedTrace,
     Outcome,
+    Procedure,
     RunRecord,
     ToolCallRecord,
     Verdict,
 )
 
 
-def _run(llm_steps, tool_intervals, internal_intervals=()):
+def _run(llm_steps, tool_intervals, internal_intervals=(), approach=Approach.A1, model_id="m"):
     records = []
     idx = 0
     for start, end in tool_intervals:
@@ -36,8 +38,8 @@ def _run(llm_steps, tool_intervals, internal_intervals=()):
         )
     return RunRecord(
         run_id="r",
-        approach=Approach.A1,
-        model_id="m",
+        approach=approach,
+        model_id=model_id,
         intent=Intent("k", "t", {}),
         trace=ObservedTrace(records=tuple(records)),
         llm_steps=tuple(llm_steps),
@@ -80,12 +82,17 @@ def test_latency_reads_sub_calls_by_trace_order():
 def test_llm_and_tool_counts():
     run = _run([(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 3)], [(2, 3)])
     assert n_llm_count(run) == 2
-    assert n_tool_count(run) == 3  # internals are not separate invocations
+    # internals are not separate invocations
+    assert sum(r.origin is CallOrigin.AGENT_ISSUED for r in run.trace.records) == 3
+
+
+_EXPECTED = Procedure("p", "k", (ExpectedStep("tool"),))
 
 
 def _row(key, latency, outcome):
-    run = _run([(0, latency)], [])
-    return key, run, Verdict(outcome)
+    """A classified run document in the group ``key``."""
+    run = _run([(0, latency)], [], approach=Approach(key.approach), model_id=key.model_id)
+    return RunDocument(run, key.scenario, key.k, _EXPECTED, verdict_agent=Verdict(outcome))
 
 
 def test_summarize_counts_and_rates():

@@ -174,7 +174,8 @@ class ScriptedBackend:
 
     Advances the injected clock by ``llm_latency_ms`` per reasoning turn so
     simulated latency accounting is exact. It reads neither the context, the
-    tools nor the results, so each playbook turn is returned as it is.
+    tools nor the results, so each playbook turn is returned as it is. A
+    playbook ends in a text turn, where ``run_agent`` stops.
     """
 
     def __init__(
@@ -185,8 +186,7 @@ class ScriptedBackend:
         model_id: str = "scripted",
     ) -> None:
         self.model_id = model_id
-        self._turns = list(playbook)
-        self._cursor = 0
+        self._turns = iter(playbook)
         self._clock = clock
         self._llm_latency_ms = llm_latency_ms
 
@@ -194,11 +194,7 @@ class ScriptedBackend:
         self, context: ApproachContext, tools: Sequence[Mapping[str, Any]]
     ) -> AssistantTurn:
         self._clock.advance(self._llm_latency_ms)
-        if self._cursor < len(self._turns):
-            turn = self._turns[self._cursor]
-            self._cursor += 1
-            return turn
-        return AssistantTurn(text=prompts.FINAL_SUMMARY_TEXT)
+        return next(self._turns)
 
     def tool_result(self, call_id: str, result: Any) -> None:
         pass

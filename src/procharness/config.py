@@ -53,7 +53,7 @@ class ScenarioAConfig:
 
     def __post_init__(self) -> None:
         if self.runs_per_cell < 1:
-            raise ModelError("runs_per_cell must be at least 1")
+            raise ModelError("scenario_a.runs_per_cell must be at least 1")
         for key in ("ue_id", "session_type"):
             if key not in self.request:
                 raise ModelError(f"scenario_a.request needs {key!r}")
@@ -71,7 +71,7 @@ class ScenarioBConfig:
         if self.approaches != (Approach.A1,):
             raise ModelError("the stress scenario only supports the prompt-embedded approach")
         if self.runs_per_cell < 1:
-            raise ModelError("runs_per_cell must be at least 1")
+            raise ModelError("scenario_b.runs_per_cell must be at least 1")
         for k in self.k_values:
             if not 1 <= k <= POOL_SIZE:
                 raise ModelError(f"scenario_b.k_values must lie in 1..{POOL_SIZE}, got {k}")

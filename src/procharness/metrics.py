@@ -143,7 +143,7 @@ def summary_csv_lines(
                 Outcome.WRONG_ORDER.value, 0
             ) + errs.pop(Outcome.OTHER_DEVIATION.value, 0)
         cols = [
-            s.key.scenario,
+            _csv_field(s.key.scenario),
             s.key.approach,
             _csv_field(s.key.model_id),
             str(s.key.k),

@@ -346,6 +346,24 @@ class Procedure(Jsonable):
         if len(self.steps) < 1:
             raise ModelError("a procedure needs at least one step")
 
+    @classmethod
+    def of_calls(
+        cls,
+        procedure_id: str,
+        intent_key: str,
+        calls: Iterable[tuple[str, Mapping[str, Any]]],
+        any_value: tuple[str, ...] = (),
+    ) -> Procedure:
+        """The procedure a sequence of (tool, arguments) calls carries out:
+        one step per call, in order, that binds each argument exactly. The
+        arguments named in ``any_value`` take ``AnyValue()`` instead, since
+        an earlier tool's output sets their value."""
+        steps = tuple(
+            ExpectedStep(name, {k: AnyValue() if k in any_value else v for k, v in args.items()})
+            for name, args in calls
+        )
+        return cls(procedure_id, intent_key, steps)
+
     @property
     def length(self) -> int:
         return len(self.steps)

@@ -37,7 +37,7 @@ from .archive import (
     iter_lines,
     verdict_pair,
 )
-from .classify import classify
+from .classify import classify, validate_call
 from .config import HarnessConfig, ModelConfig
 from .metrics import GroupSummary, summarize, summary_csv_lines
 from .model import (
@@ -45,7 +45,6 @@ from .model import (
     Intent,
     ModelError,
     MonotonicClock,
-    ObservedTrace,
     Outcome,
     Procedure,
     TerminatedReason,
@@ -68,7 +67,6 @@ from .toolsim import (
     build_kpi_host,
     build_kpi_pool,
     build_procedure_host,
-    encapsulated_expected_procedure,
     gen_stress_procedure,
     ground_truth_procedure,
     allocation_plan,
@@ -177,8 +175,10 @@ class HarnessEnv:
             intent = make_allocation_intent(ue_id, session_type)
             step_level = ground_truth_procedure(intent, fixtures)
             steps = tuple(allocation_plan(fixtures, ue_id, session_type))
-            encapsulated = encapsulated_expected_procedure(intent)
             encapsulated_call = ((ENCAP_TOOL, {"ue_id": ue_id, "session_type": session_type}),)
+            encapsulated = Procedure.of_calls(
+                f"{intent.intent_key}:encapsulated", intent.intent_key, encapsulated_call
+            )
             for approach in config.scenario_a.approaches:
                 a4 = approach is Approach.A4
                 context = build_context(
@@ -205,9 +205,7 @@ class HarnessEnv:
                     prompts.KPI_PROCEDURE_SET_TEXT,
                     _SERVERS[SCENARIO_B, Approach.A1],
                 )
-                region = intent.structured["region"]
-                kpis = intent.structured["required_kpis"]
-                calls = tuple((name, {"region": region}) for name in kpis)
+                calls = tuple((s.tool_name, dict(s.arg_constraints)) for s in procedure.steps)
                 plans[Approach.A1, k] = RunPlan(intent, context, procedure, None, calls, k)
         for (approach, _), plan in plans.items():
             self._check_ground_truth(scenario, approach, plan)
@@ -235,22 +233,16 @@ class HarnessEnv:
 
     def _check_ground_truth(self, scenario: str, approach: Approach, plan: RunPlan) -> None:
         """A plan whose fault-free calls would not classify Correct is a
-        config error, not a result. ``classify`` judges them against
-        ``expected`` on the visible server, as it judges every run; a
-        ``WrongTool`` verdict names the first call at fault."""
+        config error, not a result. Its ``expected`` is derived from those
+        calls, so they match it; each call must also be registered on the
+        visible server and fit the tool's schema, which ``validate_call``
+        judges as it judges every call of a run."""
         where = f"scenario {scenario}, approach {approach.value}, k {plan.k}"
-        records = tuple(
-            ToolCallRecord(i, name, args, None, True, 0, 0)
-            for i, (name, args) in enumerate(plan.calls, start=1)
-        )
         registry = visible_registry(scenario, approach)
-        verdict = classify(plan.expected, ObservedTrace(records), registry)
-        if verdict.outcome is Outcome.WRONG_TOOL:
-            i = verdict.offending_step
-            name = plan.calls[i - 1][0]
-            raise ModelError(f"{where}: fault-free call {i} ({name}): {verdict.detail}")
-        if verdict.outcome is not Outcome.CORRECT:
-            raise ModelError(f"{where}: the fault-free calls do not match the expected procedure")
+        for i, (name, args) in enumerate(plan.calls, start=1):
+            record = ToolCallRecord(i, name, args, None, True, 0, 0)
+            if wrong := validate_call(record, plan.expected, registry):
+                raise ModelError(f"{where}: fault-free call {i} ({name}): {wrong.detail}")
 
 
 def _check_fault_programs(env: HarnessEnv, cells: list[RunCell]) -> None:
@@ -454,7 +446,7 @@ def render_markdown_report(summaries: list[GroupSummary]) -> str:
     scenarios = sorted({s.key.scenario for s in summaries})
     for scenario in scenarios:
         rows = [s for s in summaries if s.key.scenario == scenario]
-        lines.append(f"## Scenario {scenario}")
+        lines.append(f"## Scenario {_cell(scenario)}")
         lines.append("")
         lines.append("### Correctness and latency")
         lines.append("")

@@ -29,7 +29,6 @@ from .ue import (
     allocation_plan,
     allocation_tool_specs,
     default_fixtures,
-    encapsulated_expected_procedure,
     encapsulated_tool_specs,
     ground_truth_procedure,
     make_allocation_intent,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..model import (
-    ExpectedStep,
     Intent,
     Jsonable,
     ModelError,
@@ -222,11 +221,6 @@ def gen_stress_procedure(k: int, seed: int) -> tuple[Intent, Procedure]:
         ),
         structured={"region": region, "required_kpis": list(tools)},
     )
-    steps = tuple(ExpectedStep(name, {"region": region}) for name in tools)
-    procedure = Procedure(
-        procedure_id=f"{KPI_INTENT_KEY}:k{k}:seed{seed}",
-        intent_key=KPI_INTENT_KEY,
-        steps=steps,
-    )
-    return intent, procedure
+    calls = [(name, {"region": region}) for name in tools]
+    return intent, Procedure.of_calls(f"{KPI_INTENT_KEY}:k{k}:seed{seed}", KPI_INTENT_KEY, calls)
 

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..model import (
-    AnyValue,
     CallOrigin,
-    ExpectedStep,
     Intent,
     ModelError,
     ParamSpec,
@@ -345,45 +343,19 @@ def allocation_plan(
     return plan
 
 
-def _constraints_for(tool: str, args: Mapping[str, Any]) -> dict[str, Any]:
-    constraints: dict[str, Any] = {}
-    for name, value in args.items():
-        # addresses come from intermediate tool outputs, so any value is fine
-        constraints[name] = AnyValue(ValueKind.STRING) if name == "address" else value
-    return constraints
-
-
 def ground_truth_procedure(
     intent: Intent, fixtures: Mapping[str, UeFixture]
 ) -> Procedure:
-    """Expected step-level procedure for an allocation intent."""
+    """Expected step-level procedure for an allocation intent: the calls of
+    its allocation plan, with any address accepted, since the address comes
+    from the DHCP or static lookup output."""
     if intent.intent_key != UE_INTENT_KEY:
         raise ModelError(f"not an IP allocation intent: {intent.intent_key!r}")
     ue_id = intent.structured["ue_id"]
     session_type = intent.structured["session_type"]
-    steps = tuple(
-        ExpectedStep(tool, _constraints_for(tool, args))
-        for tool, args in allocation_plan(fixtures, ue_id, session_type)
-    )
-    return Procedure(
-        procedure_id=f"{UE_INTENT_KEY}:{ue_id}:{session_type}",
-        intent_key=UE_INTENT_KEY,
-        steps=steps,
-    )
-
-
-def encapsulated_expected_procedure(intent: Intent) -> Procedure:
-    """Expected single-call procedure when the whole flow lives in one tool."""
-    return Procedure(
-        procedure_id=f"{UE_INTENT_KEY}:encapsulated",
-        intent_key=UE_INTENT_KEY,
-        steps=(
-            ExpectedStep(
-                ENCAP_TOOL,
-                {
-                    "ue_id": intent.structured["ue_id"],
-                    "session_type": intent.structured["session_type"],
-                },
-            ),
-        ),
+    return Procedure.of_calls(
+        f"{UE_INTENT_KEY}:{ue_id}:{session_type}",
+        UE_INTENT_KEY,
+        allocation_plan(fixtures, ue_id, session_type),
+        any_value=("address",),
     )

@@ -270,6 +270,26 @@ def test_fault_that_does_not_fit_fails_before_any_run(tmp_path, capsys):
             "scenario A has no runs to do",
             id="no-approaches",
         ),
+        pytest.param(
+            {"models": [{"model_id": "m", "kind": "openai"}]},
+            "unknown model kind 'openai'",
+            id="model-kind",
+        ),
+        pytest.param(
+            {"models": [{"model_id": "m", "kind": "openai_chat"}]},
+            "model 'm' needs an endpoint config",
+            id="chat-without-endpoint",
+        ),
+        pytest.param(
+            {"scenario_a": {"runs_per_cell": 0}},
+            "scenario_a.runs_per_cell must be at least 1",
+            id="scenario-a-runs-per-cell-0",
+        ),
+        pytest.param(
+            {"scenario_b": {"runs_per_cell": 0}},
+            "scenario_b.runs_per_cell must be at least 1",
+            id="scenario-b-runs-per-cell-0",
+        ),
     ],
 )
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, message):
@@ -476,9 +496,14 @@ def test_report_creates_a_new_out_dir(tmp_path, small_config):
     assert (new / "report_a.md").exists()
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path, capsys):
     assert _cli("run") == 1  # missing --scenario
     assert _cli("nonsense") == 1
+    capsys.readouterr()
+    # a flag that overrides the config is checked as the config is
+    assert _cli("run", "--scenario", "A", "--workers", "0", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.splitlines() == ["procharness run: workers must be at least 1"]
+    assert not (tmp_path / "runs_a.jsonl").exists()
 
 
 def test_empty_archive_classifies_to_empty_output(tmp_path):

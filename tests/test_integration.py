@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import gc
 import io
+import itertools
 import json
 import re
 import sys
@@ -39,7 +40,15 @@ from procharness.config import (
     ScenarioBConfig,
     config_from_dict,
 )
-from procharness.model import ModelError, Outcome, TerminatedReason, TraceLevel, effective_trace
+from procharness.model import (
+    ModelError,
+    ObservedTrace,
+    Outcome,
+    TerminatedReason,
+    ToolCallRecord,
+    TraceLevel,
+    effective_trace,
+)
 from procharness.runner import (
     SCENARIO_A,
     SCENARIO_B,
@@ -60,6 +69,7 @@ from procharness.toolsim import (
     META_TOOL_NAME,
     PROCEDURE_SERVER_ID,
     SESSION_TYPES,
+    default_fixtures,
 )
 from procharness.toolsim.ue import static_family_compatible
 from procharness.wire import SERVE_POLL_S, ToolServer
@@ -287,8 +297,22 @@ def _ctrl_c(stopped):
     time.sleep(0.05)  # a helper lets the batch thread take the interrupt
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("stop, raised", [(_raise, RuntimeError), (_ctrl_c, KeyboardInterrupt)])
+def _raise_on_a_helper(stopped):
+    """Fails the first run a helper thread takes; the batch thread's runs
+    wait until it has, so the failure reaches the batch from the helper."""
+    raise RuntimeError("the run failed on a helper thread")
+
+
+@pytest.mark.parametrize(
+    "stop, raised, workers",
+    [
+        (_raise, RuntimeError, 1),
+        (_raise, RuntimeError, 2),
+        (_ctrl_c, KeyboardInterrupt, 1),
+        (_ctrl_c, KeyboardInterrupt, 2),
+        (_raise_on_a_helper, RuntimeError, 2),
+    ],
+)
 def test_a_failed_run_or_ctrl_c_starts_no_further_run(
     tmp_path, monkeypatch, uninterrupted_b_archive, workers, stop, raised
 ):
@@ -299,13 +323,19 @@ def test_a_failed_run_or_ctrl_c_starts_no_further_run(
 
     def execute(env, cell):
         started.append(cell.run_id)
-        if cell.run_id == second:
+        on_a_helper = threading.current_thread() is not threading.main_thread()
+        if stop is _raise_on_a_helper:
+            stops, waits = on_a_helper, not on_a_helper
+        else:
+            # a later cell goes on once the second has stopped the batch
+            stops, waits = cell.run_id == second, len(started) > 2
+        if stops:
             try:
                 stop(stopped)
             finally:
                 stopped.set()
-        elif len(started) > 2:
-            stopped.wait(10)  # a later cell goes on once the second has stopped the batch
+        elif waits:
+            stopped.wait(10)
         return execute_run(env, cell)
 
     monkeypatch.setattr(runner, "execute_run", execute)
@@ -315,7 +345,8 @@ def test_a_failed_run_or_ctrl_c_starts_no_further_run(
         run_batch(config, SCENARIO_B, path)
     assert len(started) <= workers + 1
     assert set(threading.enumerate()) <= threads
-    assert uninterrupted_b_archive.startswith(path.read_bytes())
+    # a batch stopped before its first line leaves no archive, the empty prefix
+    assert uninterrupted_b_archive.startswith(path.read_bytes() if path.exists() else b"")
     monkeypatch.undo()
     run_batch(config, SCENARIO_B, path)
     assert path.read_bytes() == uninterrupted_b_archive
@@ -349,16 +380,18 @@ def test_reports_keep_a_model_id_that_holds_a_comma_pipe_or_quote(tmp_path):
     classify_archive(config, raw, classified)
     # the config refuses a line break in an id, but a foreign line can hold one
     foreign = json.loads(classified.read_bytes().splitlines()[0])
-    foreign["model_id"] = "gpt\nx"
     with open(classified, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(foreign, sort_keys=True) + "\n")
+        # and the scenario of a foreign line can hold a comma or a line break
+        for key, value in (("model_id", "gpt\nx"), ("scenario", "A,x\ny")):
+            fh.write(json.dumps({**foreign, key: value}, sort_keys=True) + "\n")
     csv_path, md_path = tmp_path / "summary.csv", tmp_path / "report.md"
     write_reports(load_documents(classified), csv_path, md_path)
 
     rows = list(csv.reader(io.StringIO(csv_path.read_text(encoding="utf-8"), newline="")))
-    assert len(rows) == 1 + 4 * len(ids) + 1
+    assert len(rows) == 1 + 4 * len(ids) + 2
     assert {len(row) for row in rows} == {19}
     assert {row[2] for row in rows[1:]} == {*ids, "gpt\nx"}
+    assert [row[0] for row in rows[1:]].count("A,x\ny") == 1
 
     def cells(line):
         return len(re.findall(r"(?<!\\)\|", line)) - 1
@@ -373,6 +406,7 @@ def test_reports_keep_a_model_id_that_holds_a_comma_pipe_or_quote(tmp_path):
             assert cells(line) == header, line
     assert "| gpt,4\\|x |" in md_path.read_text(encoding="utf-8")
     assert md_path.read_text(encoding="utf-8").count("| gpt<br>x |") == 2
+    assert "\n## Scenario A,x<br>y\n" in md_path.read_text(encoding="utf-8")
 
 
 def test_report_holds_one_run_at_a_time(tmp_path):
@@ -537,6 +571,30 @@ def test_run_plans_are_built_once_per_batch(tmp_path, monkeypatch):
     counts.clear()
     classify_archive(config, tmp_path / "runs_a.jsonl", tmp_path / "classified.jsonl")
     assert not counts
+
+
+def test_the_fault_free_calls_of_every_plan_classify_correct():
+    """A plan's expected procedure and the calls a fault-free model plays
+    agree, for every request the fixtures can meet, every approach, and
+    stress lengths from 1 to the pool size."""
+    requests = itertools.product([*default_fixtures(), "ue-999"], SESSION_TYPES)
+    batches = [
+        (HarnessConfig(scenario_a=ScenarioAConfig(request={"ue_id": u, "session_type": s})),
+         SCENARIO_A)
+        for u, s in requests
+    ]
+    batches.append((HarnessConfig(scenario_b=ScenarioBConfig(k_values=(1, 50, 100))), SCENARIO_B))
+    for config, scenario in batches:
+        plans = HarnessEnv(config).plans(scenario)
+        assert len(plans) == (4 if scenario == SCENARIO_A else 3)
+        for (approach, k), plan in plans.items():
+            records = tuple(
+                ToolCallRecord(i, name, args, None, True, 0, 0)
+                for i, (name, args) in enumerate(plan.calls, start=1)
+            )
+            registry = visible_registry(scenario, approach)
+            verdict = classify(plan.expected, ObservedTrace(records), registry)
+            assert verdict.outcome is Outcome.CORRECT, (config.scenario_a.request, approach, k)
 
 
 def test_classify_reads_no_run_plan(tmp_path):
@@ -889,6 +947,9 @@ def test_live_runs_carry_their_entry_model_id(tmp_path, fake_endpoint):
         ModelConfig(model_id=name, kind="openai_chat", endpoint=endpoint)
         for name in ("cool", "warm")
     )
+    # an endpoint that names no model serves the entry's model id
+    unnamed = dataclasses.replace(endpoint, model="")
+    models += (ModelConfig(model_id="cold", kind="openai_chat", endpoint=unnamed),)
     config = HarnessConfig(
         scenario_a=ScenarioAConfig(runs_per_cell=1, approaches=(Approach.A1,)),
         models=models,
@@ -898,8 +959,8 @@ def test_live_runs_carry_their_entry_model_id(tmp_path, fake_endpoint):
     classify_archive(config, archive, classified)
     csv_path = tmp_path / "summary_a.csv"
     write_reports(load_documents(classified), csv_path, tmp_path / "report_a.md")
-    assert sorted(d.run.model_id for d in load_documents(archive)) == ["cool", "warm"]
+    assert sorted(d.run.model_id for d in load_documents(archive)) == ["cold", "cool", "warm"]
     rows = csv_path.read_text(encoding="utf-8").splitlines()[1:]
-    assert sorted(row.split(",")[2] for row in rows) == ["cool", "warm"]
-    # the chat request still names the endpoint's model
-    assert [request["model"] for request in server.requests] == ["m", "m"]
+    assert sorted(row.split(",")[2] for row in rows) == ["cold", "cool", "warm"]
+    # the chat request still names the endpoint's model, or else the entry's id
+    assert [request["model"] for request in server.requests] == ["m", "m", "cold"]

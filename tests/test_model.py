@@ -332,6 +332,30 @@ def run_records(draw):
     )
 
 
+def test_procedure_of_calls_binds_each_argument_but_the_named_ones():
+    calls = [
+        ("b_tool", {"ue_id": "u", "address": "10.0.0.1"}),
+        ("a_tool", {"address": "x", "count": 3}),
+        ("b_tool", {"ue_id": "v"}),
+    ]
+    p = Procedure.of_calls("p:1", "intent", calls, any_value=("address",))
+    assert (p.procedure_id, p.intent_key, p.tool_names) == ("p:1", "intent", ("b_tool", "a_tool", "b_tool"))
+    assert [dict(s.arg_constraints) for s in p.steps] == [
+        {"ue_id": "u", "address": AnyValue(ValueKind.STRING)},
+        {"address": AnyValue(ValueKind.STRING), "count": 3},
+        {"ue_id": "v"},
+    ]
+    exact = Procedure.of_calls("p:1", "intent", calls)
+    assert [dict(s.arg_constraints) for s in exact.steps] == [args for _, args in calls]
+    for procedure in (p, exact):
+        assert [list(s.arg_constraints) for s in procedure.steps] == [list(a) for _, a in calls]
+    # a wildcard takes any string; an exact constraint only the call's own value
+    other_address = {"ue_id": "u", "address": "10.0.0.2"}
+    assert p.steps[0].satisfied_by(other_address)
+    assert not exact.steps[0].satisfied_by(other_address)
+    assert not p.steps[0].satisfied_by({"ue_id": "w", "address": "10.0.0.1"})
+
+
 @given(procedures())
 def test_procedure_round_trip(p):
     assert Procedure.from_dict(p.to_dict()) == p

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from procharness.model import ModelError, ParamSpec, ToolSpec
+from procharness.model import AnyValue, ExpectedStep, ModelError, ParamSpec, ToolSpec, ValueKind
 from procharness.toolsim import (
     AUTH_TOOL,
     DHCPV4_TOOL,
@@ -178,6 +178,57 @@ def test_ground_truth_rejects_foreign_intent(fixtures):
 
     with pytest.raises(ModelError):
         ground_truth_procedure(Intent("other", "x", {}), fixtures)
+
+
+def _auth(ue_id, session_type):
+    return ExpectedStep(AUTH_TOOL, {"ue_id": ue_id, "session_type": session_type})
+
+
+def _served(ue_id, session_type, *dhcp_tools):
+    """Authorization, static lookup, the DHCP tools given and the registry
+    step, whose address comes from an earlier tool's output."""
+    return (
+        _auth(ue_id, session_type),
+        ExpectedStep(STATIC_TOOL, {"ue_id": ue_id}),
+        *(ExpectedStep(tool, {"ue_id": ue_id}) for tool in dhcp_tools),
+        ExpectedStep(
+            REGISTRY_TOOL,
+            {"ue_id": ue_id, "address": AnyValue(ValueKind.STRING), "session_type": session_type},
+        ),
+    )
+
+
+GROUND_TRUTH_STEPS = {
+    ("ue-001", "IPv4"): _served("ue-001", "IPv4"),
+    ("ue-001", "IPv6"): (_auth("ue-001", "IPv6"),),
+    ("ue-001", "IPv4v6"): _served("ue-001", "IPv4v6", DHCPV4_TOOL, DHCPV6_TOOL),
+    ("ue-002", "IPv4"): _served("ue-002", "IPv4", DHCPV4_TOOL),
+    ("ue-002", "IPv6"): _served("ue-002", "IPv6", DHCPV6_TOOL),
+    ("ue-002", "IPv4v6"): _served("ue-002", "IPv4v6", DHCPV4_TOOL, DHCPV6_TOOL),
+    ("ue-003", "IPv4"): (_auth("ue-003", "IPv4"),),
+    ("ue-003", "IPv6"): _served("ue-003", "IPv6", DHCPV6_TOOL),
+    ("ue-003", "IPv4v6"): (_auth("ue-003", "IPv4v6"),),
+    ("ue-999", "IPv4"): (_auth("ue-999", "IPv4"),),
+    ("ue-999", "IPv6"): (_auth("ue-999", "IPv6"),),
+    ("ue-999", "IPv4v6"): (_auth("ue-999", "IPv4v6"),),
+}
+
+
+@pytest.mark.parametrize(
+    "ue_id, session_type", list(itertools.product([*default_fixtures(), "ue-999"], SESSION_TYPES))
+)
+def test_ground_truth_steps_constraint_by_constraint(fixtures, ue_id, session_type):
+    p = ground_truth_procedure(make_allocation_intent(ue_id, session_type), fixtures)
+    expected = GROUND_TRUTH_STEPS[ue_id, session_type]
+    assert (p.procedure_id, p.intent_key) == (
+        f"ue_ip_allocation:{ue_id}:{session_type}",
+        "ue_ip_allocation",
+    )
+    assert p.steps == expected
+    # the constraints keep the order of the call's arguments
+    assert [list(s.arg_constraints) for s in p.steps] == [
+        list(s.arg_constraints) for s in expected
+    ]
 
 
 def test_encapsulated_internals_match_ground_truth_everywhere(fixtures):

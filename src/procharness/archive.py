@@ -12,6 +12,9 @@ from .model import INLINE, Jsonable, ModelError, Procedure, RunRecord, Verdict
 
 TAIL_BLOCK = 1 << 16  # bytes read at a time when looking for the last newline
 
+# one encoder for every line: ``json.dumps(..., sort_keys=True)`` builds one per call
+dumps_sorted = json.JSONEncoder(sort_keys=True).encode
+
 
 @dataclass(frozen=True)
 class RunDocument(Jsonable):
@@ -33,7 +36,7 @@ class RunDocument(Jsonable):
 
 
 def append_document(path: Path, doc: RunDocument) -> None:
-    line = (json.dumps(doc.to_dict(), sort_keys=True) + "\n").encode("utf-8")
+    line = (dumps_sorted(doc.to_dict()) + "\n").encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
     try:
         while line:
@@ -46,7 +49,7 @@ def verdict_pair(agent: Any, flattened: Any) -> bytes:
     """The end of a line as ``append_document`` writes it: the verdict keys
     sort last among a document's keys."""
     pair = ', "verdict_agent": %s, "verdict_flattened": %s}' % (
-        json.dumps(agent, sort_keys=True), json.dumps(flattened, sort_keys=True))
+        dumps_sorted(agent), dumps_sorted(flattened))
     return pair.encode("utf-8")
 
 

@@ -6,8 +6,6 @@ unlimited concurrent invocation.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .model import (
     ExpectedStep,
     ObservedTrace,
@@ -39,7 +37,7 @@ def reliability(expected: Procedure, observed: ObservedTrace) -> int:
 
 
 def validate_call(
-    call: ToolCallRecord, expected: Procedure, registry: ToolRegistry
+    call: ToolCallRecord, expected: Procedure, registry: ToolRegistry, *, satisfied: bool = False
 ) -> Verdict | None:
     """Judge a single call independent of its position in the trace: the
     ``WrongTool`` verdict it earns, or None when it is valid.
@@ -48,7 +46,8 @@ def validate_call(
     not used by the expected procedure is a tool outside the procedure; a
     procedure tool whose arguments satisfy none of that tool's expected
     steps (or violate the tool schema) has wrong parameters. The checks run
-    in that order of severity.
+    in that order of severity. ``satisfied`` says the caller saw the
+    arguments satisfy one of the tool's steps, so none is scanned again.
     """
     spec = registry.lookup(call.tool_name)
     steps = expected.steps_by_tool.get(call.tool_name)
@@ -61,7 +60,7 @@ def validate_call(
     elif schema_problems := validate_arguments(spec, call.arguments):
         kind = WrongToolKind.WRONG_PARAMETERS
         detail = "; ".join(schema_problems)
-    elif not any(s.satisfied_by(call.arguments) for s in steps):
+    elif not satisfied and not any(s.satisfied_by(call.arguments) for s in steps):
         kind = WrongToolKind.WRONG_PARAMETERS
         detail = (
             f"arguments {dict(call.arguments)!r} do not satisfy any expected "
@@ -93,48 +92,49 @@ def classify(
     5. same tool-name multiset, different order  -> WrongOrder
     6. exact match                               -> Correct
     7. anything else                             -> OtherDeviation
+
+    One pass over the trace judges each call, counts each tool, notes the
+    first call past its tool's count and counts the leading calls that
+    match their steps; rules 3 to 6 read what it found.
     """
     records = observed.records
     if not records:
         return Verdict(Outcome.NO_TOOL_CALLS, detail="the run issued no tool calls")
 
-    for rec in records:
-        wrong = validate_call(rec, expected, registry)
+    steps, by_tool, k = expected.steps, expected.steps_by_tool, expected.length
+    counts: dict[str, int] = {}
+    duplicate = None  # the first call past its tool's count
+    matched = 0  # the leading calls that match the step at their position
+    for i, rec in enumerate(records):
+        fits = i < k and _step_matches(steps[i], rec)
+        wrong = validate_call(rec, expected, registry, satisfied=fits)
         if wrong is not None:
             return wrong
+        if fits and matched == i:
+            matched += 1
+        seen = counts[rec.tool_name] = counts.get(rec.tool_name, 0) + 1
+        if duplicate is None and seen > len(by_tool[rec.tool_name]):
+            duplicate = rec
 
-    expected_counts = Counter(expected.tool_names)
-    seen: Counter[str] = Counter()
-    for rec in records:
-        seen[rec.tool_name] += 1
-        if seen[rec.tool_name] > expected_counts[rec.tool_name]:
-            return Verdict(
-                Outcome.DUPLICATE_TOOL,
-                detail=f"tool {rec.tool_name!r} invoked more times than the procedure requires",
-                offending_step=rec.step_index,
-            )
-
-    if observed.length < expected.length and all(
-        _step_matches(step, call) for step, call in zip(expected.steps, records)
-    ):
+    if duplicate is not None:
         return Verdict(
-            Outcome.PREMATURE_STOP,
-            detail=(
-                f"execution stopped after {observed.length} of "
-                f"{expected.length} steps"
-            ),
+            Outcome.DUPLICATE_TOOL,
+            detail=f"tool {duplicate.tool_name!r} invoked more times than the procedure requires",
+            offending_step=duplicate.step_index,
         )
 
-    if (
-        Counter(observed.tool_names) == expected_counts
-        and observed.tool_names != expected.tool_names
-    ):
+    n = len(records)
+    if n < k and matched == n:
+        return Verdict(Outcome.PREMATURE_STOP, detail=f"execution stopped after {n} of {k} steps")
+
+    # every call is a procedure tool within its count: n == k is one multiset
+    if n == k and matched < n and observed.tool_names != expected.tool_names:
         return Verdict(
             Outcome.WRONG_ORDER,
             detail="all required tools were called but not in the prescribed order",
         )
 
-    if reliability(expected, observed) == 1:
+    if matched == k:
         return Verdict(Outcome.CORRECT)
 
     return Verdict(

@@ -99,7 +99,10 @@ class Jsonable:
     enums travel as their values, tuples as lists, nested dataclasses as
     objects and ``X | None`` as the value or null. A key missing from the
     input takes the field's default; for a field without one ``from_dict``
-    raises ``KeyError``.
+    raises ``KeyError``. ``from_dict`` skips the frozen ``__init__``: it
+    makes the instance with ``object.__new__``, fills its ``__dict__`` in
+    one update and then calls the class's ``__post_init__``, so every check
+    the constructor makes still runs.
     """
 
     def to_dict(self) -> dict[str, Any]:
@@ -126,7 +129,7 @@ def _exprs(
     if hint in _PASSTHROUGH:
         return o, d
     if isinstance(hint, type) and issubclass(hint, Enum):
-        return f"{o}.value", f"{_ref(ns, hint)}({d})"
+        return f"{o}._value_", f"{_ref(ns, _enum_decoder(hint))}({d})"
     if is_dataclass(hint):
         encode, decode = _codec(hint)
         return f"{_ref(ns, encode)}({o})", f"{_ref(ns, decode)}({d})"
@@ -159,6 +162,18 @@ def _exprs(
     raise TypeError(f"no JSON codec for {hint!r}")
 
 
+def _enum_decoder(enum: type[Enum]) -> Callable[[Any], Enum]:
+    """An enum's member by value through one dict; any other value, an
+    unhashable one too, goes to the enum's own call for its error."""
+    members = {m._value_: m for m in enum}
+    def decode(value: Any) -> Enum:
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            return enum(value)
+    return decode
+
+
 @functools.cache
 def _codec(cls: type) -> tuple[Callable[[Any], dict[str, Any]], Callable[[Any], Any]]:
     """Generate the (encode, decode) functions of a dataclass."""
@@ -166,7 +181,7 @@ def _codec(cls: type) -> tuple[Callable[[Any], dict[str, Any]], Callable[[Any], 
     ns: dict[str, Any] = {}
     items: list[str] = []  # the dict display, up to the first omittable field
     tail: list[str] = []  # statements that add the keys after it
-    args: list[str] = []
+    attrs: list[str] = []  # the decoded instance's __dict__ display, in field order
     for f in fields(cls):
         key = repr(f.name)
         inline = f.metadata.get("inline", False)
@@ -183,7 +198,7 @@ def _codec(cls: type) -> tuple[Callable[[Any], dict[str, Any]], Callable[[Any], 
             dec = f"({dec} if {key} in d else {_ref(ns, f.default)})"
         elif f.default_factory is not MISSING:
             dec = f"({dec} if {key} in d else {_ref(ns, f.default_factory)}())"
-        args.append(dec)
+        attrs.append(f"{key}: {dec}")
 
     source = "\n".join(
         [
@@ -192,7 +207,10 @@ def _codec(cls: type) -> tuple[Callable[[Any], dict[str, Any]], Callable[[Any], 
             *tail,
             "    return d",
             "def decode(d):",
-            f"    return {_ref(ns, cls)}({', '.join(args)})",
+            f"    o = {_ref(ns, object.__new__)}({_ref(ns, cls)})",
+            f"    o.__dict__.update({{{', '.join(attrs)}}})",
+            *(["    o.__post_init__()"] if hasattr(cls, "__post_init__") else []),
+            "    return o",
         ]
     )
     exec(source, ns)
@@ -328,10 +346,10 @@ class ExpectedStep(Jsonable):
     arg_constraints: Mapping[str, Constraint] = field(default_factory=dict)
 
     def satisfied_by(self, arguments: Mapping[str, Any]) -> bool:
-        return all(
-            name in arguments and constraint_satisfied(c, arguments[name])
-            for name, c in self.arg_constraints.items()
-        )
+        for name, c in self.arg_constraints.items():
+            if name not in arguments or not constraint_satisfied(c, arguments[name]):
+                return False
+        return True
 
 
 @dataclass(frozen=True)

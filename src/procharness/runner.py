@@ -21,6 +21,7 @@ from . import prompts
 from .agent import (
     ApproachContext,
     Call,
+    FaultKind,
     RemoteChatBackend,
     ScriptedBackend,
     apply_fault,
@@ -33,6 +34,7 @@ from .archive import (
     RunDocument,
     append_document,
     drop_torn_tail,
+    dumps_sorted,
     existing_run_ids,
     iter_lines,
     verdict_pair,
@@ -266,8 +268,10 @@ def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
     scripted = cell.model.kind == "scripted"
     clock = VirtualClock() if scripted else MonotonicClock()
     if scripted:
-        rng = random.Random(stable_seed(cell.model.fault.seed, cell.run_id))
-        playbook = build_playbook(cell.approach, plan.calls, cell.model.fault, rng)
+        fault = cell.model.fault  # a random stop is the one program that draws
+        random_stop = fault.kind is FaultKind.RANDOM_STOP
+        rng = random.Random(stable_seed(fault.seed, cell.run_id)) if random_stop else None
+        playbook = build_playbook(cell.approach, plan.calls, fault, rng)
         backend = ScriptedBackend(
             playbook, clock, cell.model.llm_latency_ms, cell.model.model_id
         )
@@ -427,7 +431,7 @@ def classify_archive(config: HarnessConfig, in_path: Path, out_path: Path) -> tu
                     out.write(line[: -len(old)] + verdict_pair(agent, flattened) + b"\n")
                 else:
                     data["verdict_agent"], data["verdict_flattened"] = agent, flattened
-                    out.write(json.dumps(data, sort_keys=True).encode("utf-8") + b"\n")
+                    out.write(dumps_sorted(data).encode("utf-8") + b"\n")
                 classified += 1
         os.replace(tmp_path, out_path)
     finally:

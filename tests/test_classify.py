@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from procharness.model import (
     Procedure,
     ToolCallRecord,
     WrongToolKind,
+    validate_arguments,
 )
 from procharness.reference import reference_classify
 from procharness.toolsim import (
@@ -317,6 +320,63 @@ def test_classify_matches_reference_oracle_at_every_length(case):
     assert got.wrong_tool_subclass == want.wrong_tool_subclass
     if got.outcome is Outcome.WRONG_TOOL:
         assert got.offending_step == want.offending_step
+
+
+_FIXED_DETAIL = {
+    Outcome.NO_TOOL_CALLS: "the run issued no tool calls",
+    Outcome.WRONG_ORDER: "all required tools were called but not in the prescribed order",
+    Outcome.CORRECT: "",
+    Outcome.OTHER_DEVIATION: (
+        "trace deviates from the procedure without matching a specific error class"
+    ),
+}
+
+
+def _detail_and_step(procedure, trace, registry, verdict):
+    """The detail and offending step ``verdict`` must carry, worked out from
+    the trace without the classifier's helpers."""
+    records = trace.records
+    if verdict.outcome is Outcome.WRONG_TOOL:
+        (call,) = [r for r in records if r.step_index == verdict.offending_step]
+        name = call.tool_name
+        if verdict.wrong_tool_subclass is WrongToolKind.WRONG_TOOL_NAME:
+            return f"tool {name!r} is not registered on any visible server", call.step_index
+        if verdict.wrong_tool_subclass is WrongToolKind.TOOL_OUTSIDE_PROCEDURE:
+            return f"tool {name!r} is not part of the expected procedure", call.step_index
+        problems = validate_arguments(registry.lookup(name), call.arguments)
+        detail = "; ".join(problems) or (
+            f"arguments {dict(call.arguments)!r} do not satisfy any expected {name!r} step"
+        )
+        return detail, call.step_index
+    if verdict.outcome is Outcome.DUPLICATE_TOOL:
+        allowed = Counter(step.tool_name for step in procedure.steps)
+        seen = Counter()
+        for call in records:
+            seen[call.tool_name] += 1
+            if seen[call.tool_name] > allowed[call.tool_name]:
+                detail = f"tool {call.tool_name!r} invoked more times than the procedure requires"
+                return detail, call.step_index
+        raise AssertionError("no call exceeds its tool's count")
+    if verdict.outcome is Outcome.PREMATURE_STOP:
+        m, k = len(records), len(procedure.steps)
+        return f"execution stopped after {m} of {k} steps", None
+    return _FIXED_DETAIL[verdict.outcome], None
+
+
+@settings(max_examples=300, deadline=None)
+@given(stress_cases())
+def test_classify_details_and_steps_at_every_length(case):
+    procedure, trace, registry = case
+    got = classify(procedure, trace, registry)
+    assert (got.detail, got.offending_step) == _detail_and_step(procedure, trace, registry, got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces())
+def test_classify_details_and_steps_on_scenario_a(static_ip_procedure, scenario_a_registry, trace):
+    got = classify(static_ip_procedure, trace, scenario_a_registry)
+    want = _detail_and_step(static_ip_procedure, trace, scenario_a_registry, got)
+    assert (got.detail, got.offending_step) == want
 
 
 def test_reference_oracle_trivial_cases(scenario_a_registry):

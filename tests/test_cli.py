@@ -431,6 +431,35 @@ def test_a_line_that_is_not_utf8_is_corrupt_not_a_traceback(tmp_path, small_conf
     assert line.startswith(f"procharness report: {classified}:9: not a run document (")
 
 
+@pytest.mark.parametrize("value", ["A9", ["A1"]], ids=["bad", "list"])
+def test_a_bad_enum_value_is_a_corrupt_line_with_the_enums_own_error(
+    tmp_path, small_config, capsys, value
+):
+    out = tmp_path / "out"
+    common = ("--scenario", "A", "--config", str(small_config), "--out", str(out))
+    assert _cli("run", *common) == 0
+    archive = out / "runs_a.jsonl"
+    lines = archive.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = json.loads(lines[2])
+    bad["approach"] = value
+    lines[2] = json.dumps(bad, sort_keys=True) + "\n"
+    archive.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert _cli("classify", *common) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{archive}:3: skipping corrupt record ({value!r} is not a valid Approach)"
+    ]
+    classified = out / "runs_a_classified.jsonl"
+    assert len(load_documents(classified)) == 7
+    with open(classified, "a", encoding="utf-8") as fh:
+        fh.write(lines[2])
+    assert _cli("report", *common) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"procharness report: {classified}:8: not a run document "
+        f"({value!r} is not a valid Approach)"
+    ]
+
+
 def test_run_resumes_past_lines_that_are_not_run_objects(tmp_path, small_config):
     out = tmp_path / "out"
     argv = ("run", "--scenario", "A", "--config", str(small_config), "--out", str(out))

@@ -31,7 +31,13 @@ from procharness.agent import (
     build_context,
     descriptor_to_chat_tool,
 )
-from procharness.archive import TAIL_BLOCK, RunDocument, drop_torn_tail, load_documents
+from procharness.archive import (
+    TAIL_BLOCK,
+    RunDocument,
+    drop_torn_tail,
+    dumps_sorted,
+    load_documents,
+)
 from procharness.classify import classify
 from procharness.config import (
     HarnessConfig,
@@ -272,6 +278,18 @@ def test_drop_torn_tail_cuts_back_to_the_last_newline(tmp_path, content, kept):
     path.write_bytes(content)
     drop_torn_tail(path)
     assert path.read_bytes() == kept
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+def test_the_shared_encoder_writes_what_json_dumps_writes(value):
+    assert dumps_sorted(value) == json.dumps(value, sort_keys=True)
 
 
 def _ten_b_cells(workers):

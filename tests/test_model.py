@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from procharness.archive import RunDocument
 from procharness.model import (
     AnyValue,
     Approach,
@@ -25,6 +28,7 @@ from procharness.model import (
     Verdict,
     Outcome,
     VirtualClock,
+    WrongToolKind,
     effective_trace,
     normalize_arguments,
     validate_arguments,
@@ -33,6 +37,7 @@ from procharness.toolsim import (
     allocation_tool_specs,
     encapsulated_tool_specs,
 )
+from procharness.toolsim.kpi import KpiToolPool, build_kpi_pool
 from procharness.toolsim.host import REPOSITORY_SPEC
 
 
@@ -377,3 +382,154 @@ def test_verdict_round_trip(outcome, detail, step):
     sub = WrongToolKind.WRONG_TOOL_NAME if outcome is Outcome.WRONG_TOOL else None
     v = Verdict(outcome, sub, detail, step)
     assert Verdict.from_dict(v.to_dict()) == v
+
+
+@st.composite
+def a4_documents(draw):
+    """An A4 run document with its flattened procedure and both verdicts."""
+    run = replace(draw(run_records()), approach=Approach.A4)
+    verdicts = [
+        Verdict(Outcome.WRONG_TOOL, draw(st.sampled_from(list(WrongToolKind))), draw(st.text(max_size=8)), 1),
+        Verdict(draw(st.sampled_from([o for o in Outcome if o is not Outcome.WRONG_TOOL]))),
+    ]
+    agent, flattened = draw(st.permutations(verdicts))
+    return RunDocument(
+        run, "A", draw(st.integers(1, 50)), draw(procedures()), draw(procedures()), agent, flattened
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(a4_documents())
+def test_run_document_round_trip(doc):
+    assert RunDocument.from_dict(doc.to_dict()) == doc
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32))
+def test_kpi_pool_round_trip(seed):
+    pool = build_kpi_pool(seed)
+    decoded = KpiToolPool.from_dict(pool.to_dict())
+    assert decoded == pool
+    assert [decoded.get(t.name) for t in pool.tools] == list(pool.tools)
+
+
+# ---------------------------------------------------------------------------
+# decoding keeps every construction check
+
+
+def _rec(i, start, end=None):
+    end = start if end is None else end
+    data = {"step_index": i, "tool_name": "t", "arguments": {}, "result": None, "success": True}
+    return ToolCallRecord(i, "t", {}, None, True, start, end), {**data, "started_at": start, "ended_at": end}
+
+
+def _pool_tools():
+    return build_kpi_pool(1).to_dict()["tools"]
+
+
+# (class, the constructor call that breaks a rule, the same values as JSON)
+_BROKEN_RULES = {
+    "record backwards interval": (
+        ToolCallRecord, lambda: _rec(1, 5, 4)[0], lambda: _rec(1, 5, 4)[1]),
+    "trace step index repeats": (
+        ObservedTrace,
+        lambda: ObservedTrace((_rec(2, 0)[0], _rec(2, 1)[0])),
+        lambda: {"records": [_rec(2, 0)[1], _rec(2, 1)[1]]},
+    ),
+    "trace goes back in time": (
+        ObservedTrace,
+        lambda: ObservedTrace((_rec(1, 5)[0], _rec(2, 3)[0])),
+        lambda: {"records": [_rec(1, 5)[1], _rec(2, 3)[1]]},
+    ),
+    "finished run without llm steps": (
+        RunRecord,
+        lambda: RunRecord("r", Approach.A1, "m", Intent("k", "t"), ObservedTrace(), ()),
+        lambda: {"run_id": "r", "approach": "A1", "model_id": "m",
+                 "intent": {"intent_key": "k", "text": "t"}, "trace": {}, "llm_steps": []},
+    ),
+    "wrong tool without subclass": (
+        Verdict, lambda: Verdict(Outcome.WRONG_TOOL), lambda: {"outcome": "WrongTool"}),
+    "subclass without wrong tool": (
+        Verdict,
+        lambda: Verdict(Outcome.CORRECT, WrongToolKind.WRONG_TOOL_NAME),
+        lambda: {"outcome": "Correct", "wrong_tool_subclass": "wrong_tool_name"},
+    ),
+    "procedure without steps": (
+        Procedure,
+        lambda: Procedure("p", "i", ()),
+        lambda: {"procedure_id": "p", "intent_key": "i", "steps": []},
+    ),
+    "enum param without values": (
+        ParamSpec, lambda: ParamSpec("x", ValueKind.ENUM), lambda: {"name": "x", "kind": "enum"}),
+    "tool name": (
+        ToolSpec, lambda: ToolSpec("Bad", ""), lambda: {"name": "Bad", "description": ""}),
+    "duplicate params": (
+        ToolSpec,
+        lambda: ToolSpec("t", "", (ParamSpec("a"), ParamSpec("a"))),
+        lambda: {"name": "t", "description": "", "params": [{"name": "a"}, {"name": "a"}]},
+    ),
+    "encapsulated without procedure": (
+        ToolSpec,
+        lambda: ToolSpec("t", "", scope=ToolScope.ENCAPSULATED),
+        lambda: {"name": "t", "description": "", "scope": "encapsulated"},
+    ),
+    "pool size": (
+        KpiToolPool,
+        lambda: KpiToolPool(1, build_kpi_pool(1).tools[:99]),
+        lambda: {"seed": 1, "tools": _pool_tools()[:99]},
+    ),
+    "pool duplicate names": (
+        KpiToolPool,
+        lambda: KpiToolPool(1, build_kpi_pool(1).tools[:99] + build_kpi_pool(1).tools[:1]),
+        lambda: {"seed": 1, "tools": _pool_tools()[:99] + _pool_tools()[:1]},
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(_BROKEN_RULES))
+def test_decoding_keeps_every_construction_check(rule):
+    cls, construct, data = _BROKEN_RULES[rule]
+    with pytest.raises(ModelError) as built:
+        construct()
+    with pytest.raises(ModelError) as decoded:
+        cls.from_dict(data())
+    assert str(decoded.value) == str(built.value)
+
+
+@pytest.mark.parametrize("value", ["bogus", ["Correct"], {"a": 1}, None, 3])
+def test_a_bad_enum_value_raises_the_enums_own_error(value):
+    with pytest.raises(ValueError) as built:
+        Outcome(value)
+    with pytest.raises(ValueError) as decoded:
+        Verdict.from_dict({"outcome": value})
+    assert str(decoded.value) == str(built.value)
+    with pytest.raises(ValueError) as built:
+        CallOrigin(value)
+    with pytest.raises(ValueError) as decoded:
+        ObservedTrace.from_dict({"records": [{**_rec(1, 0)[1], "origin": value}]})
+    assert str(decoded.value) == str(built.value)
+
+
+def test_a_missing_key_without_default_raises_key_error():
+    with pytest.raises(KeyError):
+        Verdict.from_dict({})
+    with pytest.raises(KeyError):
+        ToolCallRecord.from_dict({k: v for k, v in _rec(1, 0)[1].items() if k != "result"})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Verdict(Outcome.WRONG_TOOL, WrongToolKind.WRONG_PARAMETERS, "d", 3),
+        ParamSpec("x", ValueKind.ENUM, False, ("a", "b")),
+        ToolSpec("t", "d", (ParamSpec("a"),), ToolScope.ENCAPSULATED, "p"),
+        AnyValue(ValueKind.INTEGER),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_a_decoded_instance_is_frozen_and_equal(value):
+    decoded = type(value).from_dict(value.to_dict())
+    assert decoded == value
+    assert hash(decoded) == hash(value)
+    with pytest.raises(FrozenInstanceError):
+        setattr(decoded, fields(decoded)[0].name, None)

@@ -3,8 +3,8 @@ agents, record full traces, and classify every run against ground truth."""
 
 __version__ = "0.1.0"
 
-from .classify import classify, reliability, validate_call
-from .metrics import latency_cost_ms, n_llm_count, summarize
+from .classify import classify, matched_steps, validate_call
+from .metrics import latency_cost_ms, summarize
 from .model import (
     Approach,
     Intent,
@@ -34,9 +34,8 @@ __all__ = [
     "classify",
     "effective_trace",
     "latency_cost_ms",
-    "n_llm_count",
+    "matched_steps",
     "reference_classify",
-    "reliability",
     "summarize",
     "validate_call",
 ]

@@ -1,4 +1,4 @@
-"""Conformance checking: binary reliability plus the error-class cascade.
+"""Conformance checking: matched steps plus the error-class cascade.
 
 All functions here are pure; they never touch run state and are safe for
 unlimited concurrent invocation.
@@ -7,7 +7,6 @@ unlimited concurrent invocation.
 from __future__ import annotations
 
 from .model import (
-    ExpectedStep,
     ObservedTrace,
     Outcome,
     Procedure,
@@ -19,21 +18,18 @@ from .model import (
 )
 
 
-def _step_matches(step: ExpectedStep, call: ToolCallRecord) -> bool:
-    return step.tool_name == call.tool_name and step.satisfied_by(call.arguments)
-
-
-def reliability(expected: Procedure, observed: ObservedTrace) -> int:
-    """Binary exact-match score between an expected procedure and a
-    conformance-level trace: 1 iff lengths agree and every position matches
-    the expected tool name with arguments satisfying that step's constraints.
+def matched_steps(expected: Procedure, observed: ObservedTrace) -> int:
+    """How far a run got: the length of the longest prefix of the trace whose
+    calls match the expected steps at their positions, each by tool name and
+    by arguments that satisfy the step's constraints. A run is an exact match
+    iff this equals both the procedure's and the trace's length.
     """
-    if observed.length != expected.length:
-        return 0
+    matched = 0
     for step, call in zip(expected.steps, observed.records):
-        if not _step_matches(step, call):
-            return 0
-    return 1
+        if step.tool_name != call.tool_name or not step.satisfied_by(call.arguments):
+            break
+        matched += 1
+    return matched
 
 
 def validate_call(
@@ -93,25 +89,22 @@ def classify(
     6. exact match                               -> Correct
     7. anything else                             -> OtherDeviation
 
-    One pass over the trace judges each call, counts each tool, notes the
-    first call past its tool's count and counts the leading calls that
-    match their steps; rules 3 to 6 read what it found.
+    One pass over the trace judges each call, counts each tool and notes
+    the first call past its tool's count; rules 3 to 6 read what it found
+    and ``matched_steps``.
     """
     records = observed.records
     if not records:
         return Verdict(Outcome.NO_TOOL_CALLS, detail="the run issued no tool calls")
 
-    steps, by_tool, k = expected.steps, expected.steps_by_tool, expected.length
+    by_tool, k = expected.steps_by_tool, expected.length
+    matched = matched_steps(expected, observed)
     counts: dict[str, int] = {}
     duplicate = None  # the first call past its tool's count
-    matched = 0  # the leading calls that match the step at their position
     for i, rec in enumerate(records):
-        fits = i < k and _step_matches(steps[i], rec)
-        wrong = validate_call(rec, expected, registry, satisfied=fits)
+        wrong = validate_call(rec, expected, registry, satisfied=i < matched)
         if wrong is not None:
             return wrong
-        if fits and matched == i:
-            matched += 1
         seen = counts[rec.tool_name] = counts.get(rec.tool_name, 0) + 1
         if duplicate is None and seen > len(by_tool[rec.tool_name]):
             duplicate = rec

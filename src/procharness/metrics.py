@@ -46,11 +46,6 @@ def latency_cost_ms(run: RunRecord) -> int:
     return total
 
 
-def n_llm_count(run: RunRecord) -> int:
-    """Number of model reasoning turns in the run."""
-    return len(run.llm_steps)
-
-
 @dataclass(frozen=True, order=True)
 class GroupKey:
     scenario: str
@@ -95,7 +90,7 @@ def summarize(docs: Iterable[RunDocument]) -> list[GroupSummary]:
         key = GroupKey(doc.scenario, doc.run.approach.value, doc.run.model_id, doc.k)
         lats, turns, outcomes = groups[key]
         lats.append(float(latency_cost_ms(doc.run)))
-        turns.append(n_llm_count(doc.run))
+        turns.append(len(doc.run.llm_steps))
         outcomes[doc.verdict_agent.outcome] += 1
 
     summaries = []

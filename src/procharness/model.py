@@ -524,6 +524,7 @@ def effective_trace(
     right after it, and step indices increase, so an internal record
     belongs to the last agent-issued call before it. Internal records with
     no such call, or after any call that is not being flattened, are out.
+    A view that keeps every record is the run's trace itself, checked once.
     """
     out: list[ToolCallRecord] = []
     flattening = False  # the last agent-issued call is encapsulated, at FLATTENED
@@ -537,6 +538,8 @@ def effective_trace(
         flattening = level is TraceLevel.FLATTENED and scope is ToolScope.ENCAPSULATED
         if scope is not ToolScope.META and not flattening:
             out.append(rec)
+    if len(out) == len(run.trace.records):  # a view is a subsequence of the trace
+        return run.trace
     return ObservedTrace(records=tuple(out))
 
 

@@ -96,7 +96,10 @@ FLATTENED_REGISTRY = ToolRegistry(
 
 def visible_registry(scenario: str, approach: Approach) -> ToolRegistry:
     """The registry of the one server an approach of a scenario sees."""
-    return SERVER_REGISTRIES[_SERVERS[scenario, approach]]
+    server = _SERVERS.get((scenario, approach))
+    if server is None:
+        raise ModelError(f"scenario {scenario!r} has no server for approach {approach.value}")
+    return SERVER_REGISTRIES[server]
 
 
 @dataclass(frozen=True)
@@ -398,11 +401,12 @@ def classify_archive(config: HarnessConfig, in_path: Path, out_path: Path) -> tu
     of the servers, so no run plan, host or pool is built and ``config`` is
     not read. A line that ends in its verdict pair as the harness writes it
     keeps its bytes up to that pair, and only the pair is rewritten; any
-    other line is encoded anew with sorted keys. Corrupt lines are reported
-    with their line number and skipped. The lines go to a file beside
-    ``out_path`` that replaces it at the end, so ``out_path`` may be
-    ``in_path``, and a crash leaves either the old file or the whole new
-    one. Returns (classified, corrupt)."""
+    other line is encoded anew with sorted keys. A line that does not decode,
+    or names no visible server, is corrupt: it is reported with its line
+    number and skipped. The lines go to a file beside ``out_path`` that
+    replaces it at the end, so ``out_path`` may be ``in_path``, and a crash
+    leaves either the old file or the whole new one. Returns (classified,
+    corrupt)."""
     classified = 0
     corrupt = 0
     tmp_path = out_path.with_name(out_path.name + ".tmp")
@@ -412,11 +416,11 @@ def classify_archive(config: HarnessConfig, in_path: Path, out_path: Path) -> tu
                 try:
                     data = json.loads(line.decode("utf-8"))
                     doc = RunDocument.from_dict(data)
+                    registry = visible_registry(doc.scenario, doc.run.approach)
                 except Exception as exc:
                     corrupt += 1
                     print(f"{in_path}:{lineno}: skipping corrupt record ({exc})", file=sys.stderr)
                     continue
-                registry = visible_registry(doc.scenario, doc.run.approach)
                 agent_view = effective_trace(doc.run, TraceLevel.AGENT, registry)
                 agent = classify(doc.expected, agent_view, registry).to_dict()
                 flattened = None

@@ -331,8 +331,9 @@ class _TransportBase:
     ) -> tuple[ToolCallRecord, ...]:
         """The records of one call, numbered on from the records returned
         before: the call itself, then the sub-calls an encapsulated tool
-        reports. A call that fails, on the wire or at the server, is a
-        failed record whose result is ``{"error": message}``."""
+        reports. A call that fails, on the wire or at the server, or whose
+        reply does not parse, is a failed record whose result is
+        ``{"error": message}``."""
         payload = {
             "jsonrpc": "2.0",
             "id": next(self._ids),
@@ -347,14 +348,20 @@ class _TransportBase:
         self.clock.advance(self.tool_latency_ms)
         ended = self.clock.now_ms()
 
-        if "error" in response:
-            message = response["error"].get("message", "tool call failed")
-            content, success, internals = {"error": message}, False, ()
-        else:
-            result = response["result"]
-            content, success = result.get("content"), not result.get("is_error", False)
-            internals = result.get("internal_calls", ())
         first = self._records + 1
+        try:
+            if "error" in response:
+                message = response["error"].get("message", "tool call failed")
+                content, success, internals = {"error": message}, False, ()
+            else:
+                result = response["result"]
+                content, success = result.get("content"), not result.get("is_error", False)
+                internals = tuple(
+                    _internal_from_wire(item, i, started, ended)
+                    for i, item in enumerate(result.get("internal_calls", ()), start=first + 1)
+                )
+        except Exception as exc:
+            content, success, internals = {"error": f"malformed reply: {exc!r}"}, False, ()
         call = ToolCallRecord(
             step_index=first,
             tool_name=name,
@@ -364,10 +371,7 @@ class _TransportBase:
             started_at=started,
             ended_at=ended,
         )
-        records = (call,) + tuple(
-            _internal_from_wire(item, i, started, ended)
-            for i, item in enumerate(internals, start=first + 1)
-        )
+        records = (call,) + internals
         self._records += len(records)
         return records
 

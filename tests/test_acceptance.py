@@ -19,7 +19,7 @@ from procharness.classify import classify
 from procharness.cli import main as cli_main
 from procharness.config import HarnessConfig, ModelConfig
 from procharness.agent import FaultKind, FaultProgram
-from procharness.metrics import latency_cost_ms, n_llm_count
+from procharness.metrics import latency_cost_ms
 from procharness.model import (
     Approach,
     CallOrigin,
@@ -208,7 +208,7 @@ def test_criterion_4_reasoning_step_contract(contract_batch):
             registry = visible_registry(SCENARIO_A, approach)
             correct = 0
             for doc in runs:
-                assert n_llm_count(doc.run) == expected_turns[approach], approach
+                assert len(doc.run.llm_steps) == expected_turns[approach], approach
                 verdict = classify(
                     doc.expected,
                     effective_trace(doc.run, TraceLevel.AGENT, registry),
@@ -227,7 +227,7 @@ def test_criterion_5_latency_additivity(contract_batch):
             for doc in runs:
                 run = doc.run
                 issued = sum(r.origin is CallOrigin.AGENT_ISSUED for r in run.trace.records)
-                assert latency_cost_ms(run) == n_llm_count(run) + issued
+                assert latency_cost_ms(run) == len(run.llm_steps) + issued
         # encapsulated internals are inside the parent envelope, never added
         a4 = docs[Approach.A4][0].run
         assert latency_cost_ms(a4) == 3  # 2 reasoning turns + 1 issued call
@@ -300,7 +300,7 @@ def test_criterion_7_stress_protocol(tmp_path):
         docs = load_documents(classified)
         assert len(docs) == 180
         assert all(d.verdict_agent.outcome is Outcome.CORRECT for d in docs)
-        assert all(n_llm_count(d.run) == d.k + 1 for d in docs)
+        assert all(len(d.run.llm_steps) == d.k + 1 for d in docs)
 
         # per-step stop probability 0.02: correctness strictly decreasing,
         # premature stops dominating the error mix

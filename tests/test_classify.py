@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import CANONICAL_ARGS, make_trace
 from procharness.agent import FaultKind, FaultProgram, apply_fault
-from procharness.classify import classify, reliability, validate_call
+from procharness.classify import classify, matched_steps, validate_call
 from procharness.model import (
+    AnyValue,
     ExpectedStep,
     ObservedTrace,
     Outcome,
     Procedure,
     ToolCallRecord,
+    ValueKind,
     WrongToolKind,
     validate_arguments,
 )
@@ -37,15 +39,15 @@ GOOD = (AUTH, STATIC, REGISTRY)
 
 
 # ---------------------------------------------------------------------------
-# reliability
+# matched steps; a run's binary reliability is 1 iff matched_steps == k == n
 
 
 def test_reliability_exact_match_is_one(static_ip_procedure):
-    assert reliability(static_ip_procedure, make_trace(GOOD)) == 1
+    assert matched_steps(static_ip_procedure, make_trace(GOOD)) == 3 == static_ip_procedure.length
 
 
 def test_reliability_shorter_trace_is_zero(static_ip_procedure):
-    assert reliability(static_ip_procedure, make_trace((AUTH, STATIC))) == 0
+    assert matched_steps(static_ip_procedure, make_trace((AUTH, STATIC))) == 2
 
 
 def test_reliability_single_step_procedure(fixtures):
@@ -56,14 +58,14 @@ def test_reliability_single_step_procedure(fixtures):
     trace = make_trace(
         (AUTH,), args_overrides={1: {"ue_id": "ue-999", "session_type": "IPv4"}}
     )
-    assert reliability(rejected, trace) == 1
+    assert matched_steps(rejected, trace) == 1
 
 
 def test_reliability_checks_argument_constraints(static_ip_procedure):
     trace = make_trace(
         GOOD, args_overrides={1: {"ue_id": "ue-007", "session_type": "IPv4"}}
     )
-    assert reliability(static_ip_procedure, trace) == 0
+    assert matched_steps(static_ip_procedure, trace) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +222,9 @@ def traces(draw):
 @given(traces())
 def test_correct_iff_reliability_one(static_ip_procedure, scenario_a_registry, trace):
     verdict = classify(static_ip_procedure, trace, scenario_a_registry)
-    rel = reliability(static_ip_procedure, trace)
-    assert (verdict.outcome is Outcome.CORRECT) == (rel == 1)
+    matched = matched_steps(static_ip_procedure, trace)
+    exact = matched == static_ip_procedure.length == trace.length
+    assert (verdict.outcome is Outcome.CORRECT) == exact
 
 
 @settings(max_examples=300, deadline=None)
@@ -320,6 +323,47 @@ def test_classify_matches_reference_oracle_at_every_length(case):
     assert got.wrong_tool_subclass == want.wrong_tool_subclass
     if got.outcome is Outcome.WRONG_TOOL:
         assert got.offending_step == want.offending_step
+
+
+def _count_matched(procedure, trace):
+    """``matched_steps`` written apart: the largest m whose first m calls
+    all fit the first m steps, each constraint checked as it is defined."""
+
+    def fits(step, call):
+        def holds(name, want):
+            got = call.arguments[name]
+            if not isinstance(want, AnyValue):
+                return got == want
+            if want.kind is ValueKind.INTEGER:
+                return type(got) is int
+            return isinstance(got, str)
+
+        return step.tool_name == call.tool_name and all(
+            name in call.arguments and holds(name, want)
+            for name, want in step.arg_constraints.items()
+        )
+
+    return max(
+        m
+        for m in range(min(procedure.length, trace.length) + 1)
+        if all(map(fits, procedure.steps[:m], trace.records[:m]))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces())
+def test_matched_steps_agrees_with_a_separate_count(static_ip_procedure, trace):
+    assert matched_steps(static_ip_procedure, trace) == _count_matched(static_ip_procedure, trace)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stress_cases())
+def test_matched_steps_agrees_with_a_separate_count_at_every_length(case):
+    procedure, trace, registry = case
+    matched = matched_steps(procedure, trace)
+    assert matched == _count_matched(procedure, trace)
+    exact = matched == procedure.length == trace.length
+    assert (classify(procedure, trace, registry).outcome is Outcome.CORRECT) == exact
 
 
 _FIXED_DETAIL = {

@@ -431,6 +431,27 @@ def test_a_line_that_is_not_utf8_is_corrupt_not_a_traceback(tmp_path, small_conf
     assert line.startswith(f"procharness report: {classified}:9: not a run document (")
 
 
+def test_a_line_with_no_visible_server_is_corrupt_not_a_traceback(tmp_path, small_config, capsys):
+    # each line decodes, but no server is visible to scenario C, nor to B with A2
+    out = tmp_path / "out"
+    common = ("--scenario", "A", "--config", str(small_config), "--out", str(out))
+    assert _cli("run", *common) == 0
+    archive = out / "runs_a.jsonl"
+    lines = archive.read_text(encoding="utf-8").splitlines(keepends=True)
+    for index, scenario, approach in ((2, "C", "A1"), (5, "B", "A2")):
+        bad = json.loads(lines[index])
+        bad["scenario"], bad["approach"] = scenario, approach
+        lines[index] = json.dumps(bad, sort_keys=True) + "\n"
+    archive.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert _cli("classify", *common) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{archive}:3: skipping corrupt record (scenario 'C' has no server for approach A1)",
+        f"{archive}:6: skipping corrupt record (scenario 'B' has no server for approach A2)",
+    ]
+    assert len(load_documents(out / "runs_a_classified.jsonl")) == 6
+
+
 @pytest.mark.parametrize("value", ["A9", ["A1"]], ids=["bad", "list"])
 def test_a_bad_enum_value_is_a_corrupt_line_with_the_enums_own_error(
     tmp_path, small_config, capsys, value

@@ -10,7 +10,9 @@ import gc
 import io
 import itertools
 import json
+import os
 import re
+import stat
 import sys
 import tempfile
 import threading
@@ -34,6 +36,7 @@ from procharness.agent import (
 from procharness.archive import (
     TAIL_BLOCK,
     RunDocument,
+    append_document,
     drop_torn_tail,
     dumps_sorted,
     load_documents,
@@ -47,6 +50,7 @@ from procharness.config import (
     config_from_dict,
 )
 from procharness.model import (
+    CallOrigin,
     ModelError,
     ObservedTrace,
     Outcome,
@@ -278,6 +282,20 @@ def test_drop_torn_tail_cuts_back_to_the_last_newline(tmp_path, content, kept):
     path.write_bytes(content)
     drop_torn_tail(path)
     assert path.read_bytes() == kept
+
+
+@pytest.mark.parametrize("umask", [0o000, 0o022, 0o077])
+def test_append_document_creates_the_archive_as_umask_allows(tmp_path, umask):
+    run_batch(_small_config(), SCENARIO_A, tmp_path / "runs_a.jsonl")
+    doc = load_documents(tmp_path / "runs_a.jsonl")[0]
+    path = tmp_path / "new.jsonl"
+    old = os.umask(umask)
+    try:
+        append_document(path, doc)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    assert load_documents(path) == [doc]
 
 
 _json_values = st.recursive(
@@ -646,6 +664,32 @@ def test_classify_writes_back_the_line_it_read(tmp_path):
         "verdict_agent": classified["verdict_agent"],
         "verdict_flattened": None,
     }
+
+
+def test_a_view_that_keeps_every_record_is_the_trace_itself(tmp_path):
+    config = _small_config(scenario_b=ScenarioBConfig(runs_per_cell=1, k_values=(5, 10)))
+    docs = []
+    for scenario in (SCENARIO_A, SCENARIO_B):
+        run_batch(config, scenario, tmp_path / f"runs_{scenario}.jsonl")
+        docs += load_documents(tmp_path / f"runs_{scenario}.jsonl")
+    for doc in docs:
+        run = doc.run
+        agent = effective_trace(run, TraceLevel.AGENT, visible_registry(doc.scenario, run.approach))
+        if run.approach in (Approach.A1, Approach.A3):  # scenario B runs A1 only
+            assert agent is run.trace
+            continue
+        records = run.trace.records
+        issued = tuple(r for r in records if r.origin is CallOrigin.AGENT_ISSUED)
+        if run.approach is Approach.A2:
+            assert issued == records and records[0].tool_name == META_TOOL_NAME
+            assert agent == ObservedTrace(records[1:])
+        else:
+            flat = effective_trace(run, TraceLevel.FLATTENED, runner.FLATTENED_REGISTRY)
+            assert agent == ObservedTrace(issued)
+            assert flat == ObservedTrace(records[1:])
+            assert {r.origin for r in flat.records} == {CallOrigin.TOOL_INTERNAL}
+        assert agent is not run.trace
+    assert {d.scenario for d in docs} == {SCENARIO_A, SCENARIO_B}
 
 
 def test_classify_in_place_gives_the_same_bytes(tmp_path, capsys):

@@ -5,7 +5,6 @@ from procharness.metrics import (
     CSV_HEADER,
     GroupKey,
     latency_cost_ms,
-    n_llm_count,
     summarize,
     summary_csv_lines,
 )
@@ -81,7 +80,7 @@ def test_latency_reads_sub_calls_by_trace_order():
 
 def test_llm_and_tool_counts():
     run = _run([(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 3)], [(2, 3)])
-    assert n_llm_count(run) == 2
+    assert len(run.llm_steps) == 2
     # internals are not separate invocations
     assert sum(r.origin is CallOrigin.AGENT_ISSUED for r in run.trace.records) == 3
 
@@ -159,3 +158,13 @@ def test_csv_lines_schema_and_folding():
     cols = folded[1].split(",")
     assert cols[header_cols.index("err_wrong_order")] == "2"
     assert cols[header_cols.index("err_other")] == "0"
+
+
+def test_folding_a_group_that_lacks_one_of_the_two_classes():
+    key = GroupKey("A", "A1", "m", 3)
+    header_cols = CSV_HEADER.split(",")
+    for outcomes in ((Outcome.OTHER_DEVIATION,) * 2, (Outcome.WRONG_ORDER,) * 3):
+        summaries = summarize([_row(key, 10, outcome) for outcome in outcomes])
+        cols = summary_csv_lines(summaries, fold_other_into_wrong_order=True)[1].split(",")
+        assert cols[header_cols.index("err_wrong_order")] == str(len(outcomes))
+        assert cols[header_cols.index("err_other")] == "0"

@@ -29,6 +29,7 @@ from procharness.model import (
     Outcome,
     VirtualClock,
     WrongToolKind,
+    constraint_satisfied,
     effective_trace,
     normalize_arguments,
     validate_arguments,
@@ -94,6 +95,20 @@ def test_validate_arguments_kinds_and_enum():
     assert validate_arguments(spec, {"name": "x", "mode": "a", "count": True})
     # undeclared extras pass through silently
     assert validate_arguments(spec, {"name": "x", "mode": "b", "extra": 1}) == []
+
+
+@pytest.mark.parametrize(
+    "kind, value, holds",
+    [
+        (ValueKind.INTEGER, 3, True),
+        (ValueKind.INTEGER, True, False),
+        (ValueKind.INTEGER, "3", False),
+        (ValueKind.STRING, "3", True),
+        (ValueKind.STRING, 3, False),
+    ],
+)
+def test_a_wildcard_holds_for_a_value_of_its_kind_only(kind, value, holds):
+    assert constraint_satisfied(AnyValue(kind), value) is holds
 
 
 def test_normalize_arguments_trims_strings_only():

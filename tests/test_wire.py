@@ -519,6 +519,49 @@ def test_http_transport_failure_is_failed_call():
     assert "transport failure" in call.result["error"]
 
 
+class _CannedTransport(wire._TransportBase):
+    """Answers every request with the next of its replies."""
+
+    def __init__(self, *replies):
+        super().__init__(VirtualClock(), tool_latency_ms=1)
+        self.replies = iter(replies)
+
+    def _send(self, server_id, payload, session_id):
+        return next(self.replies)
+
+
+_GOOD_REPLY = {"jsonrpc": "2.0", "id": 2, "result": {"content": {"ok": True}, "is_error": False}}
+
+
+def _internal(**fields):
+    return {"arguments": {}, "content": None, "duration_ms": 0, "is_error": False,
+            "name": AUTH_TOOL, "offset_ms": 0, **fields}
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        [{"jsonrpc": "2.0", "id": 1, "result": {"content": {}}}],
+        {"jsonrpc": "2.0", "id": 1, "result": [{"content": {}}]},
+        {"jsonrpc": "2.0", "id": 1, "error": "tool call failed"},
+        {"jsonrpc": "2.0", "id": 1, "result": {"content": {}, "internal_calls": [
+            _internal(offset_ms="x")]}},
+        {"jsonrpc": "2.0", "id": 1, "result": {"content": {}, "internal_calls": [
+            {k: v for k, v in _internal().items() if k != "name"}]}},
+    ],
+    ids=["list", "result-list", "error-string", "offset-not-int", "internal-no-name"],
+)
+def test_a_malformed_reply_is_one_failed_record(reply):
+    transport = _CannedTransport(reply, _GOOD_REPLY)
+    (call,) = transport.call_tool(2, AUTH_TOOL, {"ue_id": "ue-001"}, "s")
+    assert call.step_index == 1 and call.tool_name == AUTH_TOOL
+    assert not call.success
+    assert list(call.result) == ["error"] and call.result["error"].startswith("malformed reply: ")
+    assert call.ended_at - call.started_at == 1
+    (after,) = transport.call_tool(2, AUTH_TOOL, {"ue_id": "ue-001"}, "s")
+    assert after.step_index == 2 and after.success and after.result == {"ok": True}
+
+
 def test_closing_an_idle_server_is_quick(fixtures):
     server = ToolServer(build_procedure_host(fixtures, repository_text="procedures here")).start()
     time.sleep(0.1)  # let the accept loop settle into its wait

@@ -27,6 +27,7 @@ from .model import (
     RunRecord,
     TerminatedReason,
     ToolCallRecord,
+    stable_seed,
 )
 from .toolsim.host import META_TOOL_NAME
 
@@ -100,10 +101,9 @@ NO_FAULT = FaultProgram()
 Call = tuple[str, dict[str, Any]]
 
 
-def apply_fault(
-    calls: Sequence[Call], fault: FaultProgram, rng: random.Random | None = None
-) -> list[Call]:
-    """Perturb a fault-free call sequence according to the fault program."""
+def apply_fault(calls: Sequence[Call], fault: FaultProgram, run_id: str = "") -> list[Call]:
+    """Perturb a fault-free call sequence according to the fault program; a
+    random stop draws from a stream seeded by the program's seed and the run id."""
     out = [(name, dict(args)) for name, args in calls]
     kind = fault.kind
     if kind is FaultKind.NONE:
@@ -111,7 +111,7 @@ def apply_fault(
     if kind is FaultKind.NO_CALLS:
         return []
     if kind is FaultKind.RANDOM_STOP:
-        rng = rng or random.Random(fault.seed)
+        rng = random.Random(stable_seed(fault.seed, run_id))
         for i in range(len(out)):
             if rng.random() < fault.prob:
                 return out[:i]
@@ -153,11 +153,11 @@ def build_playbook(
     approach: Approach,
     procedure_calls: Sequence[Call],
     fault: FaultProgram = NO_FAULT,
-    rng: random.Random | None = None,
+    run_id: str = "",
 ) -> list[AssistantTurn]:
     """Fault-free playbooks emit the ground-truth sequence one call per turn
     and then a final summary turn; fault programs perturb the call list."""
-    calls = apply_fault(procedure_calls, fault, rng)
+    calls = apply_fault(procedure_calls, fault, run_id)
     turns = []
     if approach is Approach.A2 and fault.kind is not FaultKind.NO_CALLS:
         turns.append(
@@ -278,7 +278,7 @@ class RemoteChatBackend:
 
     Built on ``urllib.request``: it speaks HTTPS and honours the
     ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY`` variables. Its runs carry
-    the config entry's ``model_id``; the request names ``config.model``.
+    the config entry's ``model_id``; the request names ``config.model`` or, if empty, it.
     A backend serves one run, which passes the same descriptor list on
     every turn, so it converts that list once, and keeps the run's messages."""
 
@@ -304,7 +304,7 @@ class RemoteChatBackend:
                 {"role": "user", "content": context.user_prompt},
             ]
         payload: dict[str, Any] = {
-            "model": self.config.model,
+            "model": self.config.model or self.model_id,
             "messages": self._messages,
             "temperature": self.config.temperature,
         }

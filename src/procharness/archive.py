@@ -45,12 +45,25 @@ def append_document(path: Path, doc: RunDocument) -> None:
         os.close(fd)
 
 
-def verdict_pair(agent: Any, flattened: Any) -> bytes:
+def _verdict_pair(agent: Any, flattened: Any) -> bytes:
     """The end of a line as ``append_document`` writes it: the verdict keys
     sort last among a document's keys."""
     pair = ', "verdict_agent": %s, "verdict_flattened": %s}' % (
         dumps_sorted(agent), dumps_sorted(flattened))
     return pair.encode("utf-8")
+
+
+def with_verdicts(line: bytes, data: dict[str, Any], agent: Any, flattened: Any) -> bytes:
+    """An archive line, decoded as ``data``, with its two verdict keys set.
+    A line that ends in its verdict pair as ``append_document`` writes it
+    keeps its bytes up to that pair; any other line is encoded anew."""
+    # a valid line's last "}" closes the document, so a matching end is its
+    # last two members, the ones json.loads kept
+    old = _verdict_pair(data.get("verdict_agent"), data.get("verdict_flattened"))
+    if line.endswith(old):
+        return line[: -len(old)] + _verdict_pair(agent, flattened)
+    data["verdict_agent"], data["verdict_flattened"] = agent, flattened
+    return dumps_sorted(data).encode("utf-8")
 
 
 def drop_torn_tail(path: Path) -> None:

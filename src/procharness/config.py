@@ -5,13 +5,13 @@ from __future__ import annotations
 import functools
 import json
 from collections import abc
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from types import UnionType
 from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
-from .agent import NO_FAULT, FaultProgram, RemoteEndpointConfig
+from .agent import NO_FAULT, FaultKind, FaultProgram, RemoteEndpointConfig
 from .model import Approach, ModelError
 from .toolsim import POOL_SIZE, STRESS_LENGTHS, UeFixture, default_fixtures
 
@@ -29,14 +29,21 @@ class ModelConfig:
             raise ModelError(f"unknown model kind {self.kind!r}")
         if self.kind == "openai_chat" and self.endpoint is None:
             raise ModelError(f"model {self.model_id!r} needs an endpoint config")
+        if self.kind == "scripted" and self.endpoint is not None:
+            raise ModelError(f"model {self.model_id!r}: an endpoint needs kind 'openai_chat'")
+        if self.kind == "openai_chat" and self.fault != NO_FAULT:
+            raise ModelError(f"model {self.model_id!r}: a fault program needs kind 'scripted'")
+        if self.fault.kind is FaultKind.RANDOM_STOP and not 0 <= self.fault.prob <= 1:
+            raise ModelError(f"model {self.model_id!r}: fault.prob must lie in [0, 1]")
+        if self.endpoint is not None and self.endpoint.retries < 0:
+            raise ModelError(f"model {self.model_id!r}: endpoint.retries must be at least 0")
+        if self.endpoint is not None and not self.endpoint.timeout_s > 0:
+            raise ModelError(f"model {self.model_id!r}: endpoint.timeout_s must be above 0")
         if self.llm_latency_ms < 0:
             raise ModelError(f"model {self.model_id!r}: llm_latency_ms must be at least 0")
         # a run's id holds its model's id and travels in a request header
         if any(c in "\r\n" or c > "\xff" for c in self.model_id):
             raise ModelError(f"model {self.model_id!r}: model_id must be Latin-1, no CR or LF")
-        if self.endpoint is not None and not self.endpoint.model:
-            # an endpoint without a model serves the entry's model id
-            object.__setattr__(self, "endpoint", replace(self.endpoint, model=self.model_id))
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,9 @@ class ScenarioAConfig:
         for key in ("ue_id", "session_type"):
             if key not in self.request:
                 raise ModelError(f"scenario_a.request needs {key!r}")
+        for i, fixture in enumerate(self.fixtures):  # the hosts key fixtures by ue_id
+            if any(f.ue_id == fixture.ue_id for f in self.fixtures[:i]):
+                raise ModelError(f"scenario_a.fixtures: ue_id {fixture.ue_id!r} names two fixtures")
 
 
 @dataclass(frozen=True)

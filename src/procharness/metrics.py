@@ -17,7 +17,8 @@ CSV_HEADER = (
     "err_no_calls,err_other"
 )
 
-_ERR_COLUMNS = (
+# the error classes of the CSV and the markdown report, in column order
+ERR_COLUMNS = (
     Outcome.WRONG_TOOL,
     Outcome.DUPLICATE_TOOL,
     Outcome.PREMATURE_STOP,
@@ -152,6 +153,6 @@ def summary_csv_lines(
             f"{s.lat_mean:.3f}",
             f"{s.mean_n_llm:.3f}",
         ]
-        cols.extend(str(errs.get(outcome.value, 0)) for outcome in _ERR_COLUMNS)
+        cols.extend(str(errs.get(outcome.value, 0)) for outcome in ERR_COLUMNS)
         lines.append(",".join(cols))
     return lines

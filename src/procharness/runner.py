@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import re
 import sys
 import threading
@@ -21,7 +20,6 @@ from . import prompts
 from .agent import (
     ApproachContext,
     Call,
-    FaultKind,
     RemoteChatBackend,
     ScriptedBackend,
     apply_fault,
@@ -34,20 +32,18 @@ from .archive import (
     RunDocument,
     append_document,
     drop_torn_tail,
-    dumps_sorted,
     existing_run_ids,
     iter_lines,
-    verdict_pair,
+    with_verdicts,
 )
 from .classify import classify, validate_call
 from .config import HarnessConfig, ModelConfig
-from .metrics import GroupSummary, summarize, summary_csv_lines
+from .metrics import ERR_COLUMNS, GroupSummary, summarize, summary_csv_lines
 from .model import (
     Approach,
     Intent,
     ModelError,
     MonotonicClock,
-    Outcome,
     Procedure,
     TerminatedReason,
     ToolCallRecord,
@@ -55,7 +51,6 @@ from .model import (
     TraceLevel,
     VirtualClock,
     effective_trace,
-    stable_seed,
 )
 from .toolsim import (
     ENCAP_TOOL,
@@ -230,11 +225,13 @@ class HarnessEnv:
         reps = range(1, self.config.scenario_b.runs_per_cell + 1)
         return [RunCell(scenario, a, m, k, r) for m in models for a, k in keys for r in reps]
 
-    def make_transport(self, server_id: int, clock: Any, tool_latency_ms: int) -> Any:
-        """A transport for a run, which calls the one server ``server_id``."""
+    def make_transport(self, server_id: int, clock: Any) -> Any:
+        """A transport for a run, which calls the one server ``server_id``
+        and advances ``clock`` by the configured tool latency per call."""
+        latency = self.config.tool_latency_ms
         if self.server_urls:
-            return HttpTransport(self.server_urls, clock, tool_latency_ms)
-        return LoopbackTransport({server_id: self.host(server_id)}, clock, tool_latency_ms)
+            return HttpTransport(self.server_urls, clock, latency)
+        return LoopbackTransport({server_id: self.host(server_id)}, clock, latency)
 
     def _check_ground_truth(self, scenario: str, approach: Approach, plan: RunPlan) -> None:
         """A plan whose fault-free calls would not classify Correct is a
@@ -271,18 +268,13 @@ def execute_run(env: HarnessEnv, cell: RunCell) -> RunDocument:
     scripted = cell.model.kind == "scripted"
     clock = VirtualClock() if scripted else MonotonicClock()
     if scripted:
-        fault = cell.model.fault  # a random stop is the one program that draws
-        random_stop = fault.kind is FaultKind.RANDOM_STOP
-        rng = random.Random(stable_seed(fault.seed, cell.run_id)) if random_stop else None
-        playbook = build_playbook(cell.approach, plan.calls, fault, rng)
+        playbook = build_playbook(cell.approach, plan.calls, cell.model.fault, cell.run_id)
         backend = ScriptedBackend(
             playbook, clock, cell.model.llm_latency_ms, cell.model.model_id
         )
     else:
         backend = RemoteChatBackend(cell.model.endpoint, cell.model.model_id)
-
-    latency = env.config.tool_latency_ms if scripted else 0
-    transport = env.make_transport(plan.context.server_id, clock, latency)
+    transport = env.make_transport(plan.context.server_id, clock)
     try:
         run = run_agent(
             plan.context,
@@ -396,12 +388,10 @@ def run_batch(
 
 
 def classify_archive(config: HarnessConfig, in_path: Path, out_path: Path) -> tuple[int, int]:
-    """Write every line back as it was read, with its two verdict keys set;
-    the verdicts judge the line's own ground truth on the fixed registries
-    of the servers, so no run plan, host or pool is built and ``config`` is
-    not read. A line that ends in its verdict pair as the harness writes it
-    keeps its bytes up to that pair, and only the pair is rewritten; any
-    other line is encoded anew with sorted keys. A line that does not decode,
+    """Write every line back with its two verdict keys set, as
+    ``archive.with_verdicts`` does; the verdicts judge the line's own ground
+    truth on the fixed registries of the servers, so no run plan, host or
+    pool is built and ``config`` is not read. A line that does not decode,
     or names no visible server, is corrupt: it is reported with its line
     number and skipped. The lines go to a file beside ``out_path`` that
     replaces it at the end, so ``out_path`` may be ``in_path``, and a crash
@@ -428,14 +418,7 @@ def classify_archive(config: HarnessConfig, in_path: Path, out_path: Path) -> tu
                     flat_view = effective_trace(doc.run, TraceLevel.FLATTENED, FLATTENED_REGISTRY)
                     verdict = classify(doc.expected_flattened, flat_view, FLATTENED_REGISTRY)
                     flattened = verdict.to_dict()
-                # a valid line's last "}" closes the document, so a matching end
-                # is its last two members, the ones json.loads kept
-                old = verdict_pair(data.get("verdict_agent"), data.get("verdict_flattened"))
-                if line.endswith(old):
-                    out.write(line[: -len(old)] + verdict_pair(agent, flattened) + b"\n")
-                else:
-                    data["verdict_agent"], data["verdict_flattened"] = agent, flattened
-                    out.write(dumps_sorted(data).encode("utf-8") + b"\n")
+                out.write(with_verdicts(line, data, agent, flattened) + b"\n")
                 classified += 1
         os.replace(tmp_path, out_path)
     finally:
@@ -470,7 +453,7 @@ def render_markdown_report(summaries: list[GroupSummary]) -> str:
         lines.append("")
         lines.append("### Error distribution")
         lines.append("")
-        header = [o.value for o in Outcome if o is not Outcome.CORRECT]
+        header = [o.value for o in ERR_COLUMNS]
         lines.append("| approach | model | k | " + " | ".join(header) + " |")
         lines.append("|---|---|---|" + "---|" * len(header))
         for s in rows:

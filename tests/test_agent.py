@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from procharness import prompts
@@ -18,8 +16,10 @@ from procharness.agent import (
     parse_tool_calls,
     run_agent,
 )
+from procharness.archive import load_documents
 from procharness.model import (
     Approach,
+    CallOrigin,
     Outcome,
     TerminatedReason,
     TraceLevel,
@@ -27,14 +27,23 @@ from procharness.model import (
     effective_trace,
 )
 from procharness.classify import classify
-from procharness.runner import HarnessEnv, RunCell, SCENARIO_A, execute_run, visible_registry
-from procharness.config import HarnessConfig, ModelConfig
+from procharness.runner import (
+    HarnessEnv,
+    RunCell,
+    SCENARIO_A,
+    execute_run,
+    run_batch,
+    visible_registry,
+)
+from procharness.config import HarnessConfig, ModelConfig, config_from_dict
 from procharness.toolsim import (
+    META_TOOL_NAME,
     PROCEDURE_SERVER_ID,
     default_fixtures,
     ground_truth_procedure,
     make_allocation_intent,
 )
+from test_golden import GOLDEN_CONFIG
 
 CALLS = [
     ("ue_authorization", {"ue_id": "ue-001", "session_type": "IPv4"}),
@@ -154,12 +163,29 @@ def test_apply_fault_no_calls():
     assert apply_fault(CALLS, FaultProgram(FaultKind.NO_CALLS)) == []
 
 
-def test_apply_fault_random_stop_deterministic():
-    fault = FaultProgram(FaultKind.RANDOM_STOP, prob=0.5, seed=3)
-    first = apply_fault(CALLS, fault, random.Random(99))
-    second = apply_fault(CALLS, fault, random.Random(99))
-    assert first == second
-    assert len(first) <= len(CALLS)
+def test_apply_fault_random_stop_deterministic(tmp_path):
+    """A random stop draws from its run's own stream: one run id gives one
+    call list, and a batch's scripted run issues exactly that list."""
+    rstop = next(m for m in GOLDEN_CONFIG["models"] if m["model_id"] == "rstop")
+    config = config_from_dict({**GOLDEN_CONFIG, "models": [rstop]})
+    fault = config.models[0].fault
+    archive = tmp_path / "runs_a.jsonl"
+    run_batch(config, SCENARIO_A, archive)
+    plans = HarnessEnv(config).plans(SCENARIO_A)
+    kept = set()
+    for doc in load_documents(archive):
+        calls = plans[doc.run.approach, doc.k].calls
+        first = apply_fault(calls, fault, doc.run.run_id)
+        assert first == apply_fault(calls, fault, doc.run.run_id)
+        issued = [
+            (r.tool_name, r.arguments)
+            for r in doc.run.trace.records
+            if r.origin is CallOrigin.AGENT_ISSUED and r.tool_name != META_TOOL_NAME
+        ]
+        assert issued == first, doc.run.run_id
+        kept.add((doc.k, len(first)))
+    # two runs of one k keep different numbers of calls: the stream follows the run id
+    assert len(kept) > len({k for k, _ in kept})
 
 
 def test_apply_fault_bounds_checked():
@@ -287,7 +313,7 @@ def test_scripted_fault_no_calls_classifies_empty():
 def test_run_caps_turns():
     env = _env()
     clock = VirtualClock()
-    transport = env.make_transport(PROCEDURE_SERVER_ID, clock, 1)
+    transport = env.make_transport(PROCEDURE_SERVER_ID, clock)
     intent = make_allocation_intent("ue-001", "IPv4")
 
     class LoopingBackend:
@@ -315,7 +341,7 @@ def test_run_caps_turns():
 def test_backend_exception_yields_backend_error():
     env = _env()
     clock = VirtualClock()
-    transport = env.make_transport(PROCEDURE_SERVER_ID, clock, 1)
+    transport = env.make_transport(PROCEDURE_SERVER_ID, clock)
     intent = make_allocation_intent("ue-001", "IPv4")
 
     class BrokenBackend:
@@ -364,7 +390,7 @@ def test_failed_tool_call_feeds_back_and_run_continues():
 def test_multiple_calls_in_one_turn_execute_in_order():
     env = _env()
     clock = VirtualClock()
-    transport = env.make_transport(PROCEDURE_SERVER_ID, clock, 1)
+    transport = env.make_transport(PROCEDURE_SERVER_ID, clock)
     intent = make_allocation_intent("ue-001", "IPv4")
 
     class BatchingBackend:

@@ -203,6 +203,12 @@ def _arg_pool(name):
         dropped = dict(base)
         dropped.pop(next(iter(dropped)))
         variants.append(dropped)
+        # values of the wrong kind, for the schema's and the step's checks
+        variants.append({**base, "ue_id": 1})
+    if "address" in base:
+        variants.append({**base, "address": 1042})
+    if "session_type" in base:
+        variants.append({**base, "session_type": "IPv5"})
     return variants
 
 
@@ -211,7 +217,8 @@ _names_strategy = st.sampled_from([AUTH, STATIC, DHCP4, DHCP6, REGISTRY, UNKNOWN
 
 @st.composite
 def traces(draw):
-    names = draw(st.lists(_names_strategy, max_size=6))
+    # the expected names, often enough that their arguments decide the verdict
+    names = draw(st.one_of(st.just(list(GOOD)), st.lists(_names_strategy, max_size=6)))
     overrides = {}
     for i, name in enumerate(names, start=1):
         overrides[i] = draw(st.sampled_from(_arg_pool(name) or [{}]))

@@ -42,6 +42,12 @@ def _cli(*argv: str) -> int:
     return main(list(argv))
 
 
+# a chat endpoint that refuses at once, and one run per model
+_ENDPOINT = {"base_url": "http://127.0.0.1:9", "retries": 0, "timeout_s": 1.0}
+_LIVE = {"model_id": "live", "kind": "openai_chat", "endpoint": _ENDPOINT}
+_ONE_RUN = {"scenario_a": {"runs_per_cell": 1, "approaches": ["A1"]}}
+
+
 def test_config_defaults():
     config = load_config(None)
     assert config.seed == 42
@@ -289,6 +295,55 @@ def test_fault_that_does_not_fit_fails_before_any_run(tmp_path, capsys):
             {"scenario_b": {"runs_per_cell": 0}},
             "scenario_b.runs_per_cell must be at least 1",
             id="scenario-b-runs-per-cell-0",
+        ),
+        pytest.param(
+            {"models": [{"model_id": "out", "fault": {"kind": "call_outside_at", "step": 1}}]},
+            "model 'out', approach A1, k 3: call_outside_at needs a replacement tool",
+            id="call-outside-without-tool",
+        ),
+        # each mistake below ran, and gave results that the config did not ask for
+        pytest.param(
+            {"models": [{"model_id": "gpt-live", "endpoint": _ENDPOINT}], **_ONE_RUN},
+            "model 'gpt-live': an endpoint needs kind 'openai_chat'",
+            id="scripted-with-endpoint",
+        ),
+        pytest.param(
+            {"models": [{**_LIVE, "fault": {"kind": "stop_after", "step": 1}}], **_ONE_RUN},
+            "model 'live': a fault program needs kind 'scripted'",
+            id="live-with-fault",
+        ),
+        pytest.param(
+            {"models": [{"model_id": "r", "fault": {"kind": "random_stop", "prob": 1.5}}]},
+            "model 'r': fault.prob must lie in [0, 1]",
+            id="random-stop-prob-above-1",
+        ),
+        pytest.param(
+            {"models": [{"model_id": "r", "fault": {"kind": "random_stop", "prob": -0.5}}]},
+            "model 'r': fault.prob must lie in [0, 1]",
+            id="random-stop-prob-below-0",
+        ),
+        pytest.param(
+            {"models": [{**_LIVE, "endpoint": {**_ENDPOINT, "retries": -1}}], **_ONE_RUN},
+            "model 'live': endpoint.retries must be at least 0",
+            id="endpoint-retries-negative",
+        ),
+        pytest.param(
+            {"models": [{**_LIVE, "endpoint": {**_ENDPOINT, "timeout_s": 0}}], **_ONE_RUN},
+            "model 'live': endpoint.timeout_s must be above 0",
+            id="endpoint-timeout-0",
+        ),
+        pytest.param(
+            {
+                "scenario_a": {
+                    "runs_per_cell": 1,
+                    "fixtures": [
+                        {"ue_id": "ue-001", "authorized_session_types": ["IPv6"]},
+                        {"ue_id": "ue-001", "authorized_session_types": ["IPv4"]},
+                    ],
+                }
+            },
+            "scenario_a.fixtures: ue_id 'ue-001' names two fixtures",
+            id="duplicate-fixture-ue-id",
         ),
     ],
 )

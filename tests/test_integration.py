@@ -809,6 +809,8 @@ class _FakeChatHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", "0"))
         body = json.loads(self.rfile.read(length))
         self.server.requests.append(body)  # type: ignore[attr-defined]
+        auth = self.headers.get("Authorization")
+        self.server.authorization.append(auth)  # type: ignore[attr-defined]
         status, message = script.pop(0) if script else (200, {"content": "done"})
         if status != 200:
             self.send_response(status)
@@ -833,6 +835,7 @@ def fake_endpoint():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FakeChatHandler)
     server.script = []
     server.requests = []
+    server.authorization = []
     thread = threading.Thread(
         target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True
     )
@@ -913,12 +916,16 @@ def test_remote_backend_exhausted_retries_is_backend_error(fake_endpoint, monkey
 
 def test_live_run_converts_each_descriptor_once(fake_endpoint, monkeypatch):
     server, url = fake_endpoint
+    # an endpoint may send a call's arguments as an object, not as JSON text
+    as_object = _tool_call_message("static_ip_retrieval", {})
+    as_object["tool_calls"][0]["function"]["arguments"] = {"ue_id": "ue-001"}
     server.script.extend(
         [
             (200, _tool_call_message("ue_authorization", {"ue_id": "ue-001", "session_type": "IPv4"})),
-            (200, _tool_call_message("static_ip_retrieval", {"ue_id": "ue-001"})),
+            (200, as_object),
         ]
     )
+    monkeypatch.setenv("PROCHARNESS_API_KEY", "sk-test")
     converted = []
 
     def convert(descriptor):
@@ -936,13 +943,18 @@ def test_live_run_converts_each_descriptor_once(fake_endpoint, monkeypatch):
     # every turn still sends the whole tool list
     tools = [descriptor_to_chat_tool(d) for d in descriptors]
     assert [request["tools"] for request in server.requests] == [tools] * 3
+    assert server.authorization == ["Bearer sk-test"] * 3
+    second = doc.run.trace.records[1]
+    assert (second.arguments, second.success) == ({"ue_id": "ue-001"}, True)
 
 
-def test_live_chat_request_carries_the_whole_conversation(fake_endpoint):
+def test_live_chat_request_carries_the_whole_conversation(fake_endpoint, monkeypatch):
     """The last request of a two-call live run holds every message of the
     run in order: the prompts, each assistant message as the endpoint sent
-    it, and each tool result as its JSON text under its call id."""
+    it, and each tool result as its JSON text under its call id. Without an
+    API key in the environment, no request carries an Authorization header."""
     server, url = fake_endpoint
+    monkeypatch.delenv("PROCHARNESS_API_KEY", raising=False)
     turns = [
         {
             "content": None,
@@ -981,6 +993,7 @@ def test_live_chat_request_carries_the_whole_conversation(fake_endpoint):
         {"role": "tool", "tool_call_id": "c2", "content": json.dumps(second.result)},
     ]
     assert first.success and not second.success  # an error result travels too
+    assert server.authorization == [None] * 3
 
 
 def test_unreachable_backend_marks_runs_but_batch_continues(tmp_path):

@@ -10,6 +10,9 @@ from procharness.toolsim import (
     AUTH_TOOL,
     DHCPV4_TOOL,
     DHCPV6_TOOL,
+    ENCAP_TOOL,
+    ENCAPSULATED_SERVER_ID,
+    PROCEDURE_SERVER_ID,
     REGISTRY_TOOL,
     SESSION_TYPES,
     STATIC_TOOL,
@@ -17,6 +20,7 @@ from procharness.toolsim import (
     KPI_TOOL_NAMES,
     POOL_SIZE,
     SERVER_SPECS,
+    ToolHost,
     UeFixture,
     allocation_plan,
     build_kpi_pool,
@@ -29,7 +33,9 @@ from procharness.toolsim import (
     make_encapsulated_handler,
     make_ue_handlers,
 )
+from procharness.toolsim.host import ToolResult
 from procharness.toolsim.ue import DHCP_POOL_SIZE, static_family_compatible
+from procharness.wire import ERR_INVALID_PARAMS, handle_rpc
 
 
 @pytest.fixture()
@@ -56,9 +62,45 @@ def test_authorization_rejects_disallowed_type(handlers):
     assert result.content == {"status": "rejected", "reason": "session_type_not_allowed"}
 
 
-def test_authorization_malformed_type_is_tool_error(handlers):
-    result = handlers[AUTH_TOOL]({"ue_id": "ue-001", "session_type": "both"}, Counter())
-    assert result.is_error
+@pytest.mark.parametrize(
+    "server_id", [ENCAPSULATED_SERVER_ID, PROCEDURE_SERVER_ID], ids=["encapsulated", "procedure"]
+)
+def test_a_malformed_session_type_is_refused_before_any_handler(fixtures, server_id):
+    """Handlers trust the host's schema check: a session type outside the
+    enum gets -32602 from the host, no handler runs and no lease is used."""
+    real = {**make_ue_handlers(fixtures), ENCAP_TOOL: make_encapsulated_handler(fixtures)}
+    ran = []
+
+    def spy(name):
+        def handler(args, session):
+            ran.append(name)
+            return real[name](args, session) if name in real else ToolResult(None)
+
+        return handler
+
+    specs = SERVER_SPECS[server_id]
+    host = ToolHost(specs, {spec.name: spy(spec.name) for spec in specs}, Counter)
+
+    def rpc(name, args):
+        request = {"jsonrpc": "2.0", "id": 1, "method": "tools/call"}
+        return handle_rpc(host, {**request, "params": {"name": name, "arguments": args}}, "s")
+
+    both = {"ue_id": "ue-002", "session_type": "both"}
+    if server_id == ENCAPSULATED_SERVER_ID:
+        refused = [(ENCAP_TOOL, both)]
+        lease = (ENCAP_TOOL, {**both, "session_type": "IPv4"})
+    else:
+        refused = [(AUTH_TOOL, both), (REGISTRY_TOOL, {**both, "address": "100.64.0.1"})]
+        lease = (DHCPV4_TOOL, {"ue_id": "ue-002"})
+    for name, args in refused:
+        reply = rpc(name, args)
+        assert reply["error"]["code"] == ERR_INVALID_PARAMS
+        assert reply["error"]["data"]["problems"] == [
+            "parameter 'session_type' must be one of ['IPv4', 'IPv6', 'IPv4v6'], got 'both'"
+        ]
+    assert ran == []
+    # the session's first DHCP lease is still free
+    assert rpc(*lease)["result"]["content"]["address"] == "100.64.0.1"
 
 
 def test_static_lookup_present_absent_unknown(handlers):
@@ -98,10 +140,11 @@ def test_assignment_appends_to_registry(handlers):
 
 
 def test_assignment_rejects_bad_address(handlers):
-    result = handlers[REGISTRY_TOOL](
-        {"ue_id": "ue-001", "address": "not-an-ip", "session_type": "IPv4"}, Counter()
-    )
-    assert result.is_error
+    for address in ("not-an-ip", "100.64.0.1,2001:db8::1,10.0.0.42"):  # a third part too
+        result = handlers[REGISTRY_TOOL](
+            {"ue_id": "ue-001", "address": address, "session_type": "IPv4"}, Counter()
+        )
+        assert result.is_error, address
 
 
 def test_assignment_accepts_dual_stack_address(handlers):

@@ -964,6 +964,11 @@ def _short_body_then_stall(conn, received):
     conn.recv(1)  # stalls until the client gives up and closes
 
 
+def _short_body_then_close(conn, received):
+    received.append(_read_request(conn))
+    conn.sendall(b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"jsonrpc"')
+
+
 def _close_without_reply(conn, received):
     received.append(_read_request(conn))
 
@@ -990,11 +995,15 @@ def _scripted_server(*answers):
 
 
 @pytest.mark.parametrize(
-    "answer, timeout_s, bound_s",
-    [(_short_body_then_stall, 0.3, 1.0), (_close_without_reply, 5.0, 1.0)],
-    ids=["short body then stall", "close without reply"],
+    "answer, timeout_s, bound_s, why",
+    [
+        (_short_body_then_stall, 0.3, 1.0, "timed out"),
+        (_short_body_then_close, 5.0, 1.0, "reply shorter than its Content-Length"),
+        (_close_without_reply, 5.0, 1.0, "server closed the connection without a reply"),
+    ],
+    ids=["short body then stall", "short body then close", "close without reply"],
 )
-def test_http_transport_fails_a_broken_reply_and_reconnects(answer, timeout_s, bound_s):
+def test_http_transport_fails_a_broken_reply_and_reconnects(answer, timeout_s, bound_s, why):
     with _scripted_server(answer, _reply_ok) as (url, received):
         transport = HttpTransport({1: url}, MonotonicClock(), timeout_s=timeout_s)
         try:
@@ -1004,7 +1013,7 @@ def test_http_transport_fails_a_broken_reply_and_reconnects(answer, timeout_s, b
             (answered,) = transport.call_tool(1, "t", {}, "s")
         finally:
             transport.close()
-    assert not failed.success and failed.result["error"].startswith("transport failure")
+    assert not failed.success and failed.result["error"] == f"transport failure: {why}"
     assert elapsed < bound_s
     assert answered.success and answered.result == "ok"
     assert len(received) == 2  # one request per connection: none was sent again

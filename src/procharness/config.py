@@ -13,7 +13,10 @@ from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 from .agent import NO_FAULT, FaultKind, FaultProgram, RemoteEndpointConfig
 from .model import Approach, ModelError
-from .toolsim import POOL_SIZE, STRESS_LENGTHS, UeFixture, default_fixtures
+from .toolsim import POOL_SIZE, SESSION_TYPES, STRESS_LENGTHS, UeFixture, default_fixtures
+
+# the fields a fault kind reads besides its kind, where they are not the step alone
+_FAULT_READS = dict(none="", no_calls="", random_stop="prob seed", call_outside_at="step tool")
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,15 @@ class ModelConfig:
             raise ModelError(f"model {self.model_id!r}: an endpoint needs kind 'openai_chat'")
         if self.kind == "openai_chat" and self.fault != NO_FAULT:
             raise ModelError(f"model {self.model_id!r}: a fault program needs kind 'scripted'")
+        if self.kind == "openai_chat" and self.llm_latency_ms != ModelConfig.llm_latency_ms:
+            raise ModelError(f"model {self.model_id!r}: llm_latency_ms needs kind 'scripted'")
         if self.fault.kind is FaultKind.RANDOM_STOP and not 0 <= self.fault.prob <= 1:
             raise ModelError(f"model {self.model_id!r}: fault.prob must lie in [0, 1]")
+        kind = self.fault.kind.value  # a program leaves the fields its kind does not read unset
+        reads = ("kind", *_FAULT_READS.get(kind, "step").split())
+        for f in fields(FaultProgram):
+            if f.name not in reads and getattr(self.fault, f.name) != f.default:
+                raise ModelError(f"model {self.model_id!r}: fault kind {kind!r} takes no {f.name}")
         if self.endpoint is not None and self.endpoint.retries < 0:
             raise ModelError(f"model {self.model_id!r}: endpoint.retries must be at least 0")
         if self.endpoint is not None and not self.endpoint.timeout_s > 0:
@@ -64,6 +74,15 @@ class ScenarioAConfig:
         for key in ("ue_id", "session_type"):
             if key not in self.request:
                 raise ModelError(f"scenario_a.request needs {key!r}")
+        # the host trims a call's strings, so a value with whitespace around it matches no call
+        named = [(f"request.{key}", value) for key, value in self.request.items()]
+        named += [(f"fixtures[{i}].ue_id", f.ue_id) for i, f in enumerate(self.fixtures)]
+        for name, value in named:
+            if value != value.strip():
+                raise ModelError(f"scenario_a.{name} has whitespace around it: {value!r}")
+        if (got := self.request["session_type"]) not in SESSION_TYPES:
+            names = ", ".join(SESSION_TYPES)
+            raise ModelError(f"scenario_a.request.session_type must be one of {names}, got {got!r}")
         for i, fixture in enumerate(self.fixtures):  # the hosts key fixtures by ue_id
             if any(f.ue_id == fixture.ue_id for f in self.fixtures[:i]):
                 raise ModelError(f"scenario_a.fixtures: ue_id {fixture.ue_id!r} names two fixtures")
@@ -75,11 +94,8 @@ class ScenarioBConfig:
 
     runs_per_cell: int = 30
     k_values: tuple[int, ...] = STRESS_LENGTHS
-    approaches: tuple[Approach, ...] = (Approach.A1,)
 
     def __post_init__(self) -> None:
-        if self.approaches != (Approach.A1,):
-            raise ModelError("the stress scenario only supports the prompt-embedded approach")
         if self.runs_per_cell < 1:
             raise ModelError("scenario_b.runs_per_cell must be at least 1")
         for k in self.k_values:

@@ -447,16 +447,6 @@ class ObservedTrace(Jsonable):
 
     records: tuple[ToolCallRecord, ...] = ()
 
-    def __post_init__(self) -> None:
-        indices = [r.step_index for r in self.records]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ModelError("step_index must be strictly increasing")
-        agent_starts = [
-            r.started_at for r in self.records if r.origin is CallOrigin.AGENT_ISSUED
-        ]
-        if any(b < a for a, b in zip(agent_starts, agent_starts[1:])):
-            raise ModelError("agent-issued calls must not go back in time")
-
     @property
     def length(self) -> int:
         return len(self.records)
@@ -468,7 +458,7 @@ class ObservedTrace(Jsonable):
 
 @dataclass(frozen=True)
 class RunRecord(Jsonable):
-    """One end-to-end agent execution of an intent."""
+    """One end-to-end agent execution of an intent; it checks the order of its trace."""
 
     run_id: str
     approach: Approach
@@ -485,6 +475,13 @@ class RunRecord(Jsonable):
             and len(self.llm_steps) < 1
         ):
             raise ModelError("a finished run needs at least one model invocation")
+        records = self.trace.records
+        indices = [r.step_index for r in records]
+        if any(b <= a for a, b in zip(indices, indices[1:])):
+            raise ModelError("step_index must be strictly increasing")
+        agent_starts = [r.started_at for r in records if r.origin is CallOrigin.AGENT_ISSUED]
+        if any(b < a for a, b in zip(agent_starts, agent_starts[1:])):
+            raise ModelError("agent-issued calls must not go back in time")
 
 
 @dataclass(frozen=True)
@@ -524,7 +521,6 @@ def effective_trace(
     right after it, and step indices increase, so an internal record
     belongs to the last agent-issued call before it. Internal records with
     no such call, or after any call that is not being flattened, are out.
-    A view that keeps every record is the run's trace itself, checked once.
     """
     out: list[ToolCallRecord] = []
     flattening = False  # the last agent-issued call is encapsulated, at FLATTENED
@@ -538,8 +534,6 @@ def effective_trace(
         flattening = level is TraceLevel.FLATTENED and scope is ToolScope.ENCAPSULATED
         if scope is not ToolScope.META and not flattening:
             out.append(rec)
-    if len(out) == len(run.trace.records):  # a view is a subsequence of the trace
-        return run.trace
     return ObservedTrace(records=tuple(out))
 
 

@@ -36,7 +36,7 @@ from .archive import (
     iter_lines,
     with_verdicts,
 )
-from .classify import classify, validate_call
+from .classify import classify
 from .config import HarnessConfig, ModelConfig
 from .metrics import ERR_COLUMNS, GroupSummary, summarize, summary_csv_lines
 from .model import (
@@ -46,7 +46,6 @@ from .model import (
     MonotonicClock,
     Procedure,
     TerminatedReason,
-    ToolCallRecord,
     ToolRegistry,
     TraceLevel,
     VirtualClock,
@@ -163,8 +162,7 @@ class HarnessEnv:
 
     def plans(self, scenario: str) -> dict[tuple[Approach, int], RunPlan]:
         """The scenario's run plans by (approach, k), built on the first call
-        and checked against their ground truth (a failing plan raises
-        ``ModelError``), with the hosts their runs call over loopback."""
+        with the hosts their runs call over loopback."""
         if scenario in self._plans:
             return self._plans[scenario]
         plans: dict[tuple[Approach, int], RunPlan] = {}
@@ -207,8 +205,7 @@ class HarnessEnv:
                 )
                 calls = tuple((s.tool_name, dict(s.arg_constraints)) for s in procedure.steps)
                 plans[Approach.A1, k] = RunPlan(intent, context, procedure, None, calls, k)
-        for (approach, _), plan in plans.items():
-            self._check_ground_truth(scenario, approach, plan)
+        for plan in plans.values():
             if not self.server_urls:
                 self.host(plan.context.server_id)
         self._plans[scenario] = plans
@@ -232,19 +229,6 @@ class HarnessEnv:
         if self.server_urls:
             return HttpTransport(self.server_urls, clock, latency)
         return LoopbackTransport({server_id: self.host(server_id)}, clock, latency)
-
-    def _check_ground_truth(self, scenario: str, approach: Approach, plan: RunPlan) -> None:
-        """A plan whose fault-free calls would not classify Correct is a
-        config error, not a result. Its ``expected`` is derived from those
-        calls, so they match it; each call must also be registered on the
-        visible server and fit the tool's schema, which ``validate_call``
-        judges as it judges every call of a run."""
-        where = f"scenario {scenario}, approach {approach.value}, k {plan.k}"
-        registry = visible_registry(scenario, approach)
-        for i, (name, args) in enumerate(plan.calls, start=1):
-            record = ToolCallRecord(i, name, args, None, True, 0, 0)
-            if wrong := validate_call(record, plan.expected, registry):
-                raise ModelError(f"{where}: fault-free call {i} ({name}): {wrong.detail}")
 
 
 def _check_fault_programs(env: HarnessEnv, cells: list[RunCell]) -> None:

@@ -46,6 +46,8 @@ def _cli(*argv: str) -> int:
 _ENDPOINT = {"base_url": "http://127.0.0.1:9", "retries": 0, "timeout_s": 1.0}
 _LIVE = {"model_id": "live", "kind": "openai_chat", "endpoint": _ENDPOINT}
 _ONE_RUN = {"scenario_a": {"runs_per_cell": 1, "approaches": ["A1"]}}
+_REQUEST = {"ue_id": "ue-001", "session_type": "IPv4"}
+_FIXTURE = {"ue_id": "ue-001", "authorized_session_types": ["IPv4"], "static_ip": "10.0.0.42"}
 
 
 def test_config_defaults():
@@ -70,8 +72,9 @@ def test_config_override_file(small_config):
 
 
 def test_config_rejects_non_a1_stress():
-    for approaches in (["A4"], []):
-        with pytest.raises(ModelError):
+    # scenario B runs A1 alone, so it takes no approaches at all
+    for approaches in (["A1"], ["A4"], []):
+        with pytest.raises(ModelError, match=r"^unknown key 'scenario_b\.approaches'$"):
             config_from_dict({"scenario_b": {"approaches": approaches}})
 
 
@@ -242,10 +245,9 @@ def test_fault_that_does_not_fit_fails_before_any_run(tmp_path, capsys):
             id="temperature-string",
         ),
         pytest.param(
-            # the ground truth's own first call breaks the tool's schema
+            # no tool serves it, so a perfect model would score 0% correct
             {"scenario_a": {"request": {"ue_id": "ue-001", "session_type": "IPv5"}}},
-            "scenario A, approach A1, k 1: fault-free call 1 (ue_authorization): "
-            "parameter 'session_type' must be one of ['IPv4', 'IPv6', 'IPv4v6'], got 'IPv5'",
+            "scenario_a.request.session_type must be one of IPv4, IPv6, IPv4v6, got 'IPv5'",
             id="session-type-ipv5",
         ),
         pytest.param({"models": []}, "scenario A has no runs to do", id="no-models"),
@@ -345,6 +347,37 @@ def test_fault_that_does_not_fit_fails_before_any_run(tmp_path, capsys):
             "scenario_a.fixtures: ue_id 'ue-001' names two fixtures",
             id="duplicate-fixture-ue-id",
         ),
+        # the host trims the ue_id a call carries, so every run met unknown_ue
+        pytest.param(
+            {"scenario_a": {"runs_per_cell": 1, "request": {**_REQUEST, "ue_id": " ue-001 "}}},
+            "scenario_a.request.ue_id has whitespace around it: ' ue-001 '",
+            id="request-ue-id-whitespace",
+        ),
+        pytest.param(
+            {"scenario_a": {"runs_per_cell": 1, "fixtures": [{**_FIXTURE, "ue_id": "ue-001 "}]}},
+            "scenario_a.fixtures[0].ue_id has whitespace around it: 'ue-001 '",
+            id="fixture-ue-id-whitespace",
+        ),
+        # only the scripted model waits out llm_latency_ms
+        pytest.param(
+            {"models": [{**_LIVE, "llm_latency_ms": 500}], **_ONE_RUN},
+            "model 'live': llm_latency_ms needs kind 'scripted'",
+            id="live-llm-latency",
+        ),
+        *(
+            pytest.param(
+                {"models": [{"model_id": "f", "fault": fault}], **_ONE_RUN},
+                f"model 'f': fault kind {fault['kind']!r} takes no {unread}",
+                id=f"{fault['kind']}-with-{unread}",
+            )
+            for fault, unread in [
+                ({"kind": "none", "step": 2}, "step"),
+                ({"kind": "random_stop", "prob": 0.2, "step": 1}, "step"),
+                ({"kind": "stop_after", "step": 1, "tool": "x"}, "tool"),
+                ({"kind": "stop_after", "step": 1, "prob": 0.5}, "prob"),
+                ({"kind": "no_calls", "seed": 3}, "seed"),
+            ]
+        ),
     ],
 )
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, message):
@@ -399,10 +432,19 @@ SMALL_CONFIG = {
         ],
         "repository_text": None,
     },
-    "scenario_b": {"runs_per_cell": 1, "k_values": [5], "approaches": ["A1"]},
+    "scenario_b": {"runs_per_cell": 1, "k_values": [5]},
 }
 # wrong types, unknown enum values and out-of-range integers
 REPLACEMENTS = ("x", 1.5, True, None, [], {}, 0, -1, 101)
+
+
+def test_the_small_config_runs_both_scenarios(tmp_path):
+    """Its fault program spells out every default, which a config may do."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_CONFIG), encoding="utf-8")
+    for scenario in ("A", "B"):
+        code = _cli("run", "--scenario", scenario, "--config", str(path), "--out", str(tmp_path))
+        assert code == 0
 
 
 def _slots(node, path=()):

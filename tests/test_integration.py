@@ -634,15 +634,15 @@ def test_the_fault_free_calls_of_every_plan_classify_correct():
 
 
 def test_classify_reads_no_run_plan(tmp_path):
-    """A request that fails the ground-truth check stops ``run``, but
-    ``classify`` reads no plan, so it judges an archive the same under it."""
+    """A request whose plans differ from the archive's leaves ``classify``
+    unchanged: it reads no plan, so it judges an archive the same under it."""
     archive = tmp_path / "runs_a.jsonl"
     run_batch(HarnessConfig(), SCENARIO_A, archive)
-    ipv5 = ScenarioAConfig(request={"ue_id": "ue-001", "session_type": "IPv5"})
-    default_out, ipv5_out = tmp_path / "default.jsonl", tmp_path / "ipv5.jsonl"
+    other = ScenarioAConfig(request={"ue_id": "ue-002", "session_type": "IPv4v6"})
+    default_out, other_out = tmp_path / "default.jsonl", tmp_path / "other.jsonl"
     classify_archive(HarnessConfig(), archive, default_out)
-    classify_archive(HarnessConfig(scenario_a=ipv5), archive, ipv5_out)
-    assert ipv5_out.read_bytes() == default_out.read_bytes()
+    classify_archive(HarnessConfig(scenario_a=other), archive, other_out)
+    assert other_out.read_bytes() == default_out.read_bytes()
 
 
 def test_classify_writes_back_the_line_it_read(tmp_path):
@@ -676,7 +676,7 @@ def test_a_view_that_keeps_every_record_is_the_trace_itself(tmp_path):
         run = doc.run
         agent = effective_trace(run, TraceLevel.AGENT, visible_registry(doc.scenario, run.approach))
         if run.approach in (Approach.A1, Approach.A3):  # scenario B runs A1 only
-            assert agent is run.trace
+            assert agent == run.trace
             continue
         records = run.trace.records
         issued = tuple(r for r in records if r.origin is CallOrigin.AGENT_ISSUED)

@@ -117,11 +117,12 @@ def test_normalize_arguments_trims_strings_only():
 
 
 def test_trace_rejects_nonincreasing_step_index():
-    rec = lambda i, t: ToolCallRecord(i, "t", {}, None, True, t, t)
-    with pytest.raises(ModelError):
-        ObservedTrace(records=(rec(1, 0), rec(1, 1)))
-    with pytest.raises(ModelError):
-        ObservedTrace(records=(rec(2, 0), rec(1, 1)))
+    """A run checks its trace, as built and as decoded."""
+    for pairs in [(_rec(1, 0), _rec(1, 1)), (_rec(2, 0), _rec(1, 1))]:
+        with pytest.raises(ModelError, match="^step_index must be strictly increasing$"):
+            _run(*(record for record, _ in pairs))
+        with pytest.raises(ModelError, match="^step_index must be strictly increasing$"):
+            RunRecord.from_dict(_run_data(*(data for _, data in pairs)))
 
 
 def test_record_rejects_backwards_interval():
@@ -438,6 +439,16 @@ def _rec(i, start, end=None):
     return ToolCallRecord(i, "t", {}, None, True, start, end), {**data, "started_at": start, "ended_at": end}
 
 
+def _run(*records):
+    return RunRecord("r", Approach.A1, "m", Intent("k", "t"), ObservedTrace(records), ((0, 1),))
+
+
+def _run_data(*records):
+    return {"run_id": "r", "approach": "A1", "model_id": "m",
+            "intent": {"intent_key": "k", "text": "t"},
+            "trace": {"records": list(records)}, "llm_steps": [[0, 1]]}
+
+
 def _pool_tools():
     return build_kpi_pool(1).to_dict()["tools"]
 
@@ -447,14 +458,14 @@ _BROKEN_RULES = {
     "record backwards interval": (
         ToolCallRecord, lambda: _rec(1, 5, 4)[0], lambda: _rec(1, 5, 4)[1]),
     "trace step index repeats": (
-        ObservedTrace,
-        lambda: ObservedTrace((_rec(2, 0)[0], _rec(2, 1)[0])),
-        lambda: {"records": [_rec(2, 0)[1], _rec(2, 1)[1]]},
+        RunRecord,
+        lambda: _run(_rec(2, 0)[0], _rec(2, 1)[0]),
+        lambda: _run_data(_rec(2, 0)[1], _rec(2, 1)[1]),
     ),
     "trace goes back in time": (
-        ObservedTrace,
-        lambda: ObservedTrace((_rec(1, 5)[0], _rec(2, 3)[0])),
-        lambda: {"records": [_rec(1, 5)[1], _rec(2, 3)[1]]},
+        RunRecord,
+        lambda: _run(_rec(1, 5)[0], _rec(2, 3)[0]),
+        lambda: _run_data(_rec(1, 5)[1], _rec(2, 3)[1]),
     ),
     "finished run without llm steps": (
         RunRecord,
